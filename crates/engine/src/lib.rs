@@ -45,7 +45,7 @@ pub use data::{
     profiling_samples_for, JudgeSpec,
 };
 pub use pipeline::{
-    drive_model_campaign, protect_model, protect_model_for, run_model_campaign, BoundsSummary,
-    CampaignComparison, OverheadSummary, Pipeline, PipelineError, PipelineOutcome, PipelineReport,
-    ProtectedModel, RateSummary, DEFAULT_PROFILE_FRACTION,
+    protect_model, protect_model_for, run_model_campaign, BoundsSummary, CampaignComparison,
+    OverheadSummary, Pipeline, PipelineError, PipelineOutcome, PipelineReport, ProtectedModel,
+    RateSummary, DEFAULT_PROFILE_FRACTION,
 };

@@ -46,7 +46,8 @@ use ranger_models::zoo::{ModelZoo, ZooError};
 use ranger_models::{Model, ModelConfig, ModelKind, Task, TrainConfig};
 use ranger_runtime::ThreadPool;
 use ranger_serve::{
-    campaign_fingerprint, drive, CampaignSink, CheckpointStore, DriveOutcome, ServeError,
+    campaign_fingerprint, drive, run_sharded, CampaignSink, CheckpointStore, DriveOutcome,
+    ServeError, ShardOptions,
 };
 use serde::Serialize;
 use std::fmt;
@@ -214,42 +215,43 @@ pub fn run_model_campaign(
     judge: &dyn ranger_inject::SdcJudge,
     config: &CampaignConfig,
 ) -> Result<CampaignResult, CampaignError> {
-    let target = InjectionTarget {
+    run_campaign(&model_target(model), inputs, judge, config)
+}
+
+/// The injection target of a model: its whole graph, minus the nodes it excludes.
+fn model_target(model: &Model) -> InjectionTarget<'_> {
+    InjectionTarget {
         graph: &model.graph,
         input_name: &model.input_name,
         output: model.output,
         excluded: &model.excluded_from_injection,
-    };
-    run_campaign(&target, inputs, judge, config)
+    }
 }
 
-/// Runs a fault-injection campaign through the checkpointed streaming executor shared
-/// with the campaign service: the trial space is decomposed into the canonical chunk
-/// partition, every completed chunk is appended (and fsynced) to a fingerprint-keyed
-/// checkpoint file under `checkpoint_dir` before its event reaches `sink`, and a rerun
-/// over the same directory resumes from the durable prefix — reproducing bit-for-bit
-/// the counts of [`run_model_campaign`].
+/// Runs a fault-injection campaign through the campaign service's checkpointed
+/// streaming path: the trial space is decomposed into the canonical chunk partition,
+/// every completed chunk is appended (and fsynced) to a fingerprint-keyed checkpoint
+/// file under `checkpoint_dir` before its event reaches `sink`, and a rerun over the
+/// same directory resumes from the durable prefix — reproducing bit-for-bit the counts
+/// of [`run_model_campaign`]. With `hosts` set the chunks are sharded across that many
+/// in-process worker hosts by the lease coordinator (`ranger_serve::run_sharded`);
+/// otherwise one local pool drives them (`ranger_serve::drive`). Both write the same
+/// checkpoint file, so either resumes the other.
 ///
-/// # Errors
-///
-/// Returns [`PipelineError::Interrupted`] if `sink` stops the campaign early (completed
-/// chunks stay durable), and a campaign or serve error if the configuration is
-/// degenerate or the checkpoint store cannot be used.
-pub fn drive_model_campaign(
+/// Fails with [`PipelineError::Interrupted`] if `sink` stops the campaign early
+/// (completed chunks stay durable), and with a campaign or serve error if the
+/// configuration is degenerate or the checkpoint store cannot be used.
+fn checkpointed_campaign(
     model: &Model,
     inputs: &[ranger_tensor::Tensor],
     judge: &dyn SdcJudge,
     config: &CampaignConfig,
     checkpoint_dir: &Path,
+    hosts: Option<usize>,
     sink: &mut dyn CampaignSink,
 ) -> Result<CampaignResult, PipelineError> {
     config.validate()?;
-    let target = InjectionTarget {
-        graph: &model.graph,
-        input_name: &model.input_name,
-        output: model.output,
-        excluded: &model.excluded_from_injection,
-    };
+    let target = model_target(model);
     let chunk_len = ranger_inject::default_chunk_len(config);
     let fingerprint =
         campaign_fingerprint(&target, inputs, config, &judge.categories(), chunk_len)?;
@@ -258,88 +260,19 @@ pub fn drive_model_campaign(
         &fingerprint,
     )?;
     let prepared = PreparedCampaign::new(&target, inputs, judge, config)?;
-    let pool = ThreadPool::new(config.workers);
-    let cancel = AtomicBool::new(false);
-    match drive(&prepared, &mut store, &pool, &cancel, sink)? {
-        DriveOutcome::Completed(result) => Ok(result),
-        DriveOutcome::Stopped(_) => Err(PipelineError::Interrupted),
-    }
-}
-
-/// Runs a fault-injection campaign by sharding its chunk space across `hosts`
-/// in-process worker hosts coordinated by the campaign service's lease + merge-verify
-/// machinery (see `ranger_serve::run_sharded`) — the multi-host execution path, minus
-/// the sockets. Checkpointing, resumption and the event stream behave exactly like
-/// [`drive_model_campaign`], and the merged counts are bit-for-bit the single-host
-/// counts.
-///
-/// # Errors
-///
-/// As [`drive_model_campaign`].
-pub fn shard_model_campaign(
-    model: &Model,
-    inputs: &[ranger_tensor::Tensor],
-    judge: &dyn SdcJudge,
-    config: &CampaignConfig,
-    checkpoint_dir: &Path,
-    hosts: usize,
-    sink: &mut dyn CampaignSink,
-) -> Result<CampaignResult, PipelineError> {
-    config.validate()?;
-    let target = InjectionTarget {
-        graph: &model.graph,
-        input_name: &model.input_name,
-        output: model.output,
-        excluded: &model.excluded_from_injection,
+    let outcome = match hosts {
+        None => drive(
+            &prepared,
+            &mut store,
+            &ThreadPool::new(config.workers),
+            &AtomicBool::new(false),
+            sink,
+        )?,
+        Some(hosts) => run_sharded(&prepared, store, &ShardOptions::hosts(hosts), sink)?,
     };
-    let chunk_len = ranger_inject::default_chunk_len(config);
-    let fingerprint =
-        campaign_fingerprint(&target, inputs, config, &judge.categories(), chunk_len)?;
-    let store = CheckpointStore::open(
-        &checkpoint_dir.join(format!("{fingerprint}.jsonl")),
-        &fingerprint,
-    )?;
-    let prepared = PreparedCampaign::new(&target, inputs, judge, config)?;
-    let options = ranger_serve::ShardOptions::hosts(hosts);
-    match ranger_serve::run_sharded(&prepared, store, &options, sink)? {
+    match outcome {
         DriveOutcome::Completed(result) => Ok(result),
         DriveOutcome::Stopped(_) => Err(PipelineError::Interrupted),
-    }
-}
-
-/// How the pipeline executes its campaign arms: directly in-process, through the
-/// checkpointed streaming driver shared with the campaign service, or sharded across
-/// in-process worker hosts via the lease coordinator.
-enum CampaignExec<'s> {
-    InProcess,
-    Streamed {
-        dir: PathBuf,
-        sink: &'s mut dyn CampaignSink,
-    },
-    Sharded {
-        dir: PathBuf,
-        hosts: usize,
-        sink: &'s mut dyn CampaignSink,
-    },
-}
-
-impl CampaignExec<'_> {
-    fn run(
-        &mut self,
-        model: &Model,
-        inputs: &[ranger_tensor::Tensor],
-        judge: &dyn SdcJudge,
-        config: &CampaignConfig,
-    ) -> Result<CampaignResult, PipelineError> {
-        match self {
-            CampaignExec::InProcess => Ok(run_model_campaign(model, inputs, judge, config)?),
-            CampaignExec::Streamed { dir, sink } => {
-                drive_model_campaign(model, inputs, judge, config, dir, &mut **sink)
-            }
-            CampaignExec::Sharded { dir, hosts, sink } => {
-                shard_model_campaign(model, inputs, judge, config, dir, *hosts, &mut **sink)
-            }
-        }
     }
 }
 
@@ -670,16 +603,18 @@ impl Pipeline {
     ///
     /// See [`Pipeline::run`].
     pub fn run_full(self) -> Result<PipelineOutcome, PipelineError> {
-        self.run_with_exec(&mut CampaignExec::InProcess)
+        self.run_with(|model, inputs, judge, config| {
+            Ok(run_model_campaign(model, inputs, judge, config)?)
+        })
     }
 
     /// Runs the pipeline like [`Pipeline::run_full`], but executes both campaign arms
-    /// through the checkpointed streaming driver shared with the campaign service:
-    /// `sink` observes both arms' full event streams (the baseline arm first, then the
-    /// protected arm), and every completed chunk is durable under the configured
-    /// checkpoint directory before its event is emitted — so a killed pipeline re-run
-    /// resumes its campaign arms instead of recomputing them, with bit-for-bit
-    /// identical counts.
+    /// through the checkpointed streaming driver shared with the campaign service
+    /// (`ranger_serve::drive`): `sink` observes both arms' full event streams (the
+    /// baseline arm first, then the protected arm), and every completed chunk is
+    /// durable under the configured checkpoint directory before its event is emitted —
+    /// so a killed pipeline re-run resumes its campaign arms instead of recomputing
+    /// them, with bit-for-bit identical counts.
     ///
     /// # Errors
     ///
@@ -690,21 +625,20 @@ impl Pipeline {
         mut self,
         sink: &mut dyn CampaignSink,
     ) -> Result<PipelineOutcome, PipelineError> {
-        let dir = self.serve_checkpoints.take().ok_or_else(|| {
-            PipelineError::InvalidConfig(
-                "serve_run needs a checkpoint directory; call serve_checkpoint_dir(..) first"
-                    .to_string(),
-            )
-        })?;
-        self.run_with_exec(&mut CampaignExec::Streamed { dir, sink })
+        let dir = self.take_checkpoint_dir("serve_run")?;
+        self.run_with(|model, inputs, judge, config| {
+            checkpointed_campaign(model, inputs, judge, config, &dir, None, sink)
+        })
     }
 
     /// Runs the pipeline like [`Pipeline::serve_run`], but executes both campaign arms
-    /// sharded across `hosts` in-process worker hosts coordinated by the campaign
-    /// service's lease table and merge-verify pass — the full multi-host machinery,
-    /// minus the sockets. Counts are bit-for-bit the single-host counts, and the
-    /// checkpoint files interoperate with [`Pipeline::serve_run`]'s: a sharded run can
-    /// resume a streamed one and vice versa.
+    /// sharded across `hosts` in-process worker hosts (`ranger_serve::run_sharded`):
+    /// each host claims chunk ranges from the campaign service's lease coordinator and
+    /// runs them through the same campaign executor, and the coordinator merge-verifies
+    /// every record — the full multi-host machinery, minus the sockets. Counts are
+    /// bit-for-bit the single-host counts, and the checkpoint files interoperate with
+    /// [`Pipeline::serve_run`]'s: a sharded run can resume a streamed one and vice
+    /// versa.
     ///
     /// # Errors
     ///
@@ -714,16 +648,30 @@ impl Pipeline {
         sink: &mut dyn CampaignSink,
         hosts: usize,
     ) -> Result<PipelineOutcome, PipelineError> {
-        let dir = self.serve_checkpoints.take().ok_or_else(|| {
-            PipelineError::InvalidConfig(
-                "shard_run needs a checkpoint directory; call serve_checkpoint_dir(..) first"
-                    .to_string(),
-            )
-        })?;
-        self.run_with_exec(&mut CampaignExec::Sharded { dir, hosts, sink })
+        let dir = self.take_checkpoint_dir("shard_run")?;
+        self.run_with(|model, inputs, judge, config| {
+            checkpointed_campaign(model, inputs, judge, config, &dir, Some(hosts), sink)
+        })
     }
 
-    fn run_with_exec(self, exec: &mut CampaignExec<'_>) -> Result<PipelineOutcome, PipelineError> {
+    fn take_checkpoint_dir(&mut self, method: &str) -> Result<PathBuf, PipelineError> {
+        self.serve_checkpoints.take().ok_or_else(|| {
+            PipelineError::InvalidConfig(format!(
+                "{method} needs a checkpoint directory; call serve_checkpoint_dir(..) first"
+            ))
+        })
+    }
+
+    /// The pipeline, with `run_arm` executing each campaign arm.
+    fn run_with(
+        self,
+        mut run_arm: impl FnMut(
+            &Model,
+            &[ranger_tensor::Tensor],
+            &dyn SdcJudge,
+            &CampaignConfig,
+        ) -> Result<CampaignResult, PipelineError>,
+    ) -> Result<PipelineOutcome, PipelineError> {
         if self.metrics_json.is_some() {
             // Must be on before plans are warmed: timing slots are sized at warm time.
             ranger_obs::set_enabled(true);
@@ -804,8 +752,8 @@ impl Pipeline {
                     )?,
                 };
                 let judge = self.judge.build(&model);
-                let baseline = exec.run(&model, &inputs, judge.as_ref(), config)?;
-                let shielded = exec.run(&protected.model, &inputs, judge.as_ref(), config)?;
+                let baseline = run_arm(&model, &inputs, judge.as_ref(), config)?;
+                let shielded = run_arm(&protected.model, &inputs, judge.as_ref(), config)?;
                 let coverage_percent = baseline
                     .rates()
                     .iter()

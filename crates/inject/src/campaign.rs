@@ -43,6 +43,7 @@ use ranger_tensor::stats::Proportion;
 use ranger_tensor::{DataType, Tensor};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Configuration of a fault-injection campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -246,11 +247,10 @@ pub enum CampaignError {
     /// A forward pass failed.
     Graph(GraphError),
     /// Several independent work units failed. `first` is the error of the earliest unit
-    /// in `(input, trial)` order — the same error a serial campaign would have stopped
-    /// on, identified by its `(input, chunk)` coordinates — and `suppressed` counts the
-    /// additional unit failures that were observed but not reported individually (a
-    /// parallel campaign lets in-flight units complete after a failure, so a
-    /// multi-chunk service failure can produce many).
+    /// in `(input, trial)` order, identified by its `(input, chunk)` coordinates, and
+    /// `suppressed` counts the additional unit failures that were observed but not
+    /// reported individually (a failing unit never stops the units scheduled beside
+    /// it, so a multi-chunk failure reports them all, at any worker count).
     Failures {
         /// The earliest failure in `(input, trial)` order.
         first: Box<CampaignError>,
@@ -517,14 +517,15 @@ pub fn campaign_chunks(
 /// [`trial_rng`]`(config.seed, i, t)`, so the reported counts are a pure function of the
 /// configuration: with `config.batch > 1` the faulty runs execute one trial-chunk per
 /// `[batch, ...]` pass, with `config.workers > 1` the chunks run on a work-stealing
-/// [`ThreadPool`] (one plan buffer arena per worker, partial tallies reduced in chunk
-/// order) — and every combination produces SDC/benign counts **bit-for-bit identical**
-/// to the serial per-sample path.
+/// [`ThreadPool`] — and every combination produces SDC/benign counts **bit-for-bit
+/// identical** to the serial per-sample path. This is [`PreparedCampaign::new`] plus
+/// [`PreparedCampaign::execute`] over every chunk, absorbing tallies in completion
+/// order (the counts are order-independent sums).
 ///
 /// # Errors
 ///
 /// Returns a [`CampaignError`] if the configuration is degenerate or any forward pass
-/// fails.
+/// fails (see [`PreparedCampaign::execute`] for which failure is reported).
 pub fn run_campaign(
     target: &InjectionTarget<'_>,
     inputs: &[Tensor],
@@ -533,90 +534,31 @@ pub fn run_campaign(
 ) -> Result<CampaignResult, CampaignError> {
     let prepared = PreparedCampaign::new(target, inputs, judge, config)?;
     let mut result = prepared.empty_result();
-    let chunks = prepared.chunks();
 
     // Cold-path registry lookup: one histogram record per campaign, not per trial.
     // Recorded on success only, so the distribution is of completed campaigns.
     let run_hist =
         ranger_obs::enabled().then(|| ranger_obs::registry().histogram("campaign.run_nanos"));
     let run_start = run_hist.as_ref().map(|_| std::time::Instant::now());
-
-    let tallies: Vec<ChunkTally> = if config.workers <= 1 {
-        // Serial: every unit runs inline in one arena; the collect short-circuits, so a
-        // failing unit stops the campaign immediately.
-        let mut values = prepared.buffers();
-        chunks
-            .iter()
-            .map(|&unit| prepared.run_chunk(&mut values, unit))
-            .collect::<Result<_, _>>()?
-    } else {
-        // Parallel: units run on the pool, each worker owning its own arena; the pool
-        // returns tallies in unit order whatever the scheduling was. In-flight units
-        // still complete after a failure; the error reported is deterministically the
-        // first in (input, trial) order, annotated with its (input, chunk) identity and
-        // the count of further failures.
-        let prepared = &prepared;
-        collect_unit_results(
-            chunks,
-            ThreadPool::new(config.workers).run_with(
-                |_worker| prepared.buffers(),
-                chunks
-                    .iter()
-                    .map(|&unit| move |values: &mut Values| prepared.run_chunk(values, unit)),
-            ),
-        )?
-    };
-    // Reduce in (input, trial) order (the counts are order-independent sums).
-    for tally in &tallies {
-        result.absorb(tally);
-    }
-    prepared.publish_metrics();
+    prepared.execute(
+        prepared.chunks(),
+        &ThreadPool::new(config.workers),
+        &AtomicBool::new(false),
+        |_, tally| result.absorb(&tally),
+    )?;
     if let (Some(hist), Some(start)) = (run_hist, run_start) {
         hist.record(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
     Ok(result)
 }
 
-/// Reduces per-unit results: all tallies, or the first error in unit order — identified
-/// by its `(input, chunk)` coordinates — with the count of additional suppressed
-/// failures attached (so a multi-chunk service failure is never silently truncated to
-/// one anonymous error).
-///
-/// `chunks` must be the unit list the results were produced from, in the same order.
-fn collect_unit_results(
-    chunks: &[TrialChunk],
-    results: Vec<Result<ChunkTally, CampaignError>>,
-) -> Result<Vec<ChunkTally>, CampaignError> {
-    debug_assert_eq!(chunks.len(), results.len());
-    let failures = results.iter().filter(|r| r.is_err()).count();
-    let mut tallies = Vec::with_capacity(results.len());
-    for (position, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(tally) => tallies.push(tally),
-            Err(first) => {
-                return Err(if failures > 1 {
-                    let unit = chunks[position];
-                    CampaignError::Failures {
-                        first: Box::new(first),
-                        input: unit.input,
-                        chunk: unit.index,
-                        suppressed: failures - 1,
-                    }
-                } else {
-                    first
-                });
-            }
-        }
-    }
-    Ok(tallies)
-}
-
 /// A campaign compiled down to its schedulable work units: the execution plan, the
 /// golden outputs, the per-input injection spaces and the canonical chunk list.
 ///
 /// This is the seam the streaming campaign service (`ranger-serve`) builds on: prepare
-/// once, then execute any subset of [`PreparedCampaign::chunks`] in any order — on any
-/// executor — and sum the [`ChunkTally`]s. Because fault plans are keyed by
+/// once, then run any subset of [`PreparedCampaign::chunks`] in any order — through
+/// [`PreparedCampaign::execute`], the one executor every campaign path shares — and
+/// sum the [`ChunkTally`]s. Because fault plans are keyed by
 /// `(input, trial)` index, every such execution reproduces the counts of
 /// [`run_campaign`] bit for bit; skipping chunks whose tallies were already persisted by
 /// a checkpoint store is how a killed campaign resumes without re-running its prefix.
@@ -925,13 +867,78 @@ impl<'a> PreparedCampaign<'a> {
         Ok(tally)
     }
 
+    /// The campaign executor: runs `chunks` on `pool` and hands each completed
+    /// `(chunk, tally)` to `on_tally` on the calling thread, in completion order.
+    ///
+    /// Every worker owns one buffer arena; a 1-worker pool runs the chunks inline, in
+    /// list order. `cancel` is checked before each chunk starts — the caller (or another
+    /// thread) sets it to stop scheduling, and chunks not yet started are skipped.
+    /// Plan timings are published once, when the run ends, whatever its outcome.
+    ///
+    /// A failing chunk does not stop the chunks scheduled beside it: only `cancel` does.
+    /// So the reported error is a pure function of the chunk list, never of worker count
+    /// or scheduling. (Sharded worker hosts are the exception: a host that sees a
+    /// failure cancels the whole campaign, because a failed chunk never completes and
+    /// its range would otherwise be re-leased forever.)
+    ///
+    /// # Errors
+    ///
+    /// If chunks failed, returns the error of the earliest one by
+    /// [`TrialChunk::index`]: unwrapped when it failed alone, else wrapped in
+    /// [`CampaignError::Failures`] with the exact count of the others.
+    pub fn execute(
+        &self,
+        chunks: &[TrialChunk],
+        pool: &ThreadPool,
+        cancel: &AtomicBool,
+        mut on_tally: impl FnMut(TrialChunk, ChunkTally),
+    ) -> Result<(), CampaignError> {
+        let mut earliest: Option<(TrialChunk, CampaignError)> = None;
+        let mut failures = 0usize;
+        pool.run_with_consumer(
+            |_worker| self.buffers(),
+            chunks.iter().map(|&chunk| {
+                move |values: &mut Values| {
+                    (!cancel.load(Ordering::SeqCst)).then(|| self.run_chunk(values, chunk))
+                }
+            }),
+            |position, outcome| {
+                let chunk = chunks[position];
+                match outcome {
+                    None => {}
+                    Some(Ok(tally)) => on_tally(chunk, tally),
+                    Some(Err(error)) => {
+                        failures += 1;
+                        if earliest
+                            .as_ref()
+                            .is_none_or(|(held, _)| chunk.index < held.index)
+                        {
+                            earliest = Some((chunk, error));
+                        }
+                    }
+                }
+            },
+        );
+        self.publish_metrics();
+        match earliest {
+            None => Ok(()),
+            Some((_, error)) if failures == 1 => Err(error),
+            Some((chunk, error)) => Err(CampaignError::Failures {
+                first: Box::new(error),
+                input: chunk.input,
+                chunk: chunk.index,
+                suppressed: failures - 1,
+            }),
+        }
+    }
+
     /// Drains the plan's per-node timing slots into the global metrics registry
     /// (per-op-kind `plan.op.<Kind>.{nanos,calls}` counters).
     ///
-    /// [`run_campaign`] calls this once at the end of a campaign; drivers that
-    /// execute chunks themselves (the streaming service) should call it when their
-    /// run completes. Draining, so repeated calls never double-count; a no-op when
-    /// the campaign was prepared with metrics disabled.
+    /// [`PreparedCampaign::execute`] calls this once at the end of every run; callers
+    /// that execute chunks through [`PreparedCampaign::run_chunk`] themselves should
+    /// call it when their run completes. Draining, so repeated calls never
+    /// double-count; a no-op when the campaign was prepared with metrics disabled.
     pub fn publish_metrics(&self) {
         self.plan.publish_timings();
     }

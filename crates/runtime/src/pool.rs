@@ -3,17 +3,20 @@
 //! The shape follows the standard inference-runtime recipe (e.g. rten's thread pool):
 //! every worker owns an injector queue and a piece of scratch state; when its queue
 //! drains it steals from its peers, so a straggler task never idles the rest of the
-//! pool. Three properties matter for the campaign driver built on top:
+//! pool. Three properties matter for the campaign executor built on top:
 //!
 //! * **Scoped borrows** — tasks run inside [`std::thread::scope`], so they may borrow
 //!   the caller's stack (the compiled plan, the golden outputs, the judge) without any
 //!   `Arc` or `'static` gymnastics. The pool joins all workers before returning.
-//! * **Worker-local scratch** — [`ThreadPool::run_with`] gives every worker one value of
-//!   caller-defined scratch state for its whole tenure (the campaign driver passes a
-//!   cloned `ExecPlan` buffer arena, keeping the hot path allocation-free per worker).
-//! * **Deterministic reduction** — results are returned **in task order**, whatever
-//!   interleaving the scheduler produced; a panicking task propagates its panic to the
-//!   caller when the scope joins.
+//! * **Worker-local scratch** — every worker owns one value of caller-defined scratch
+//!   state for its whole tenure (the campaign executor passes a cloned `ExecPlan`
+//!   buffer arena, keeping the hot path allocation-free per worker).
+//! * **One scheduler, two deliveries** — [`ThreadPool::run_with_consumer`] is the only
+//!   scheduler: it hands each `(index, result)` to a consumer on the calling thread as
+//!   tasks complete. [`ThreadPool::run_with`] is that scheduler with a consumer that
+//!   files results by index, so it returns them **in task order** whatever the
+//!   interleaving was. Either way a panicking task propagates its panic to the caller
+//!   when the scope joins.
 //!
 //! The queues are `Mutex<VecDeque>`s, not lock-free Chase–Lev deques: campaign tasks are
 //! whole forward passes (tens of microseconds to milliseconds), so queue operations are
@@ -96,9 +99,9 @@ impl ThreadPool {
     /// value never crosses threads, so it needs no `Send` bound — this is where a
     /// campaign worker keeps its own buffer arena.
     ///
-    /// Tasks are distributed round-robin across the workers' queues; a worker that
-    /// drains its own queue steals from the back of the most loaded peer's queue, so
-    /// completion order is arbitrary — but the returned `Vec` is always in task order.
+    /// Scheduling is [`ThreadPool::run_with_consumer`]'s, with a consumer that files each
+    /// result under its task index: completion order is arbitrary, but the returned
+    /// `Vec` is always in task order.
     ///
     /// # Panics
     ///
@@ -112,74 +115,23 @@ impl ThreadPool {
         N: Fn(usize) -> S + Sync,
     {
         let tasks: Vec<F> = tasks.into_iter().collect();
-        let task_count = tasks.len();
-        if task_count == 0 {
-            return Vec::new();
-        }
-        if self.workers == 1 {
-            // Inline fast path: no threads, same semantics (including scratch reuse).
-            let mut stats = WorkerStats::new();
-            stats.tasks = task_count as u64;
-            let mut scratch = init(0);
-            let results = tasks.into_iter().map(|task| task(&mut scratch)).collect();
-            stats.flush(0);
-            return results;
-        }
-
-        // One injector queue per worker, filled round-robin so the initial split is
-        // balanced without any coordination.
-        let workers = self.workers.min(task_count);
-        observe_run(workers);
-        let queues: Vec<Mutex<VecDeque<(usize, F)>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (index, task) in tasks.into_iter().enumerate() {
-            queues[index % workers]
-                .lock()
-                .expect("queue lock poisoned during distribution")
-                .push_back((index, task));
-        }
-
-        let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(task_count));
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let queues = &queues;
-                let results = &results;
-                let init = &init;
-                scope.spawn(move || {
-                    let mut scratch = init(worker);
-                    let mut stats = WorkerStats::new();
-                    // Completed (index, result) pairs stay worker-local until the worker
-                    // retires, so the shared results mutex is touched once per worker.
-                    let mut completed: Vec<(usize, T)> = Vec::new();
-                    while let Some((index, task)) = next_task(queues, worker, &mut stats) {
-                        completed.push((index, task(&mut scratch)));
-                    }
-                    stats.flush(worker);
-                    results
-                        .lock()
-                        .expect("result lock poisoned by a panicking worker")
-                        .extend(completed);
-                });
-            }
-            // `scope` joins every worker here and re-raises the first panic, if any.
-        });
-
-        let mut completed = results
-            .into_inner()
-            .expect("result lock poisoned by a panicking worker");
-        completed.sort_unstable_by_key(|&(index, _)| index);
-        debug_assert_eq!(completed.len(), task_count);
-        completed.into_iter().map(|(_, result)| result).collect()
+        let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(tasks.len()).collect();
+        self.run_with_consumer(init, tasks, |index, result| slots[index] = Some(result));
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("the pool delivers every task's result"))
+            .collect()
     }
 
     /// Runs every task like [`ThreadPool::run_with`], but delivers each `(index, result)`
     /// pair to `consume` **as it completes**, on the calling thread, instead of
     /// collecting results into a `Vec`.
     ///
-    /// This is the streaming entry point the campaign service drives: workers push
-    /// completed chunk tallies through a channel while the caller — which owns the
-    /// checkpoint file and the client event stream — consumes them incrementally, so a
-    /// million-trial campaign reports progress long before it finishes. Completion order
+    /// This is the pool's one scheduler, and the entry point the campaign executor
+    /// drives: workers push completed chunk tallies through a channel while the caller
+    /// — which may own a checkpoint file and a client event stream — consumes them
+    /// incrementally, so a million-trial campaign reports progress long before it
+    /// finishes. Completion order
     /// is arbitrary (that's the point of stealing); consumers wanting ordered emission
     /// reorder on `index`.
     ///

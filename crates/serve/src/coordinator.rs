@@ -1,51 +1,41 @@
 //! The sharding coordinator: lease lifecycle plus merge-verify over one campaign.
 //!
-//! A [`Coordinator`] owns everything one sharded campaign needs on the coordinating
-//! host: the canonical chunk partition, the fsync'd [`CheckpointStore`], a
-//! [`LeaseTable`] handing exclusive chunk ranges to worker hosts, and the ordered
-//! emission state that turns remotely-completed records into the same monotone
-//! [`CampaignEvent`] stream the local driver produces. It runs **no forward passes**
-//! itself — workers materialize the campaign from its spec, execute chunks, and push
-//! records back; the coordinator's job is to refuse everything that shouldn't be
-//! merged and durably absorb everything that should.
+//! A [`Coordinator`] is the campaign's ordered merger (the same one the local driver
+//! uses: fsync'd [`CheckpointStore`], merge-verify, reorder buffer, event emission)
+//! plus a [`LeaseTable`] handing exclusive chunk ranges to worker hosts and the
+//! fingerprint gate in front of both. It runs **no forward passes** itself — workers
+//! materialize the campaign from its spec, execute chunks, and push records back; the
+//! coordinator's job is to refuse everything that shouldn't be merged and durably
+//! absorb everything that should.
 //!
-//! Every record a worker pushes crosses three gates, in order:
+//! Every record a worker pushes crosses four gates, in order:
 //!
-//! 1. **Duplicate** — a record identical to one already durable is answered
-//!    idempotently (workers retry pushes whose responses were lost).
-//! 2. **Lease** — the push must carry a token covering the record's chunk
+//! 1. **Fingerprint** — the push must name the coordinator's exact campaign.
+//! 2. **Duplicate** — a record identical to one already durable is answered
+//!    idempotently (workers retry pushes whose responses were lost); a different
+//!    record for a durable chunk is corruption.
+//! 3. **Lease** — the push must carry a token covering the record's chunk
 //!    ([`LeaseTable::touch`]); pushing renews the lease.
-//! 3. **Merge-verify** — [`ChunkRecord::verify_against`] re-checks the chunk's
-//!    geometry and the tally's shape against the campaign's canonical partition, and
-//!    the push must name the coordinator's exact fingerprint.
+//! 4. **Merge-verify** — [`ChunkRecord::verify_against`] re-checks the chunk's
+//!    geometry and the tally's shape against the campaign's canonical partition.
 //!
 //! Only then is the record fsync'd into the store — durability before visibility, the
 //! same discipline as the local driver — and emitted in canonical chunk order.
 
 use crate::checkpoint::{CheckpointStore, ChunkRecord};
 use crate::lease::{LeaseError, LeaseGrant, LeaseTable, TouchOutcome};
-use crate::sink::{CampaignEvent, CampaignSink, SinkFlow};
+use crate::merger::Merger;
+use crate::sink::CampaignSink;
 use crate::ServeError;
-use ranger_inject::{CampaignResult, ChunkTally, TrialChunk};
-use std::collections::BTreeMap;
+use ranger_inject::{CampaignResult, TrialChunk};
 use std::time::Instant;
 
 /// Coordinates one sharded campaign: leases out chunk ranges, merge-verifies and
 /// durably absorbs the records workers push back, and emits the ordered event stream.
 #[derive(Debug)]
 pub struct Coordinator {
-    fingerprint: String,
-    chunks: Vec<TrialChunk>,
-    categories: Vec<String>,
-    trials_total: u64,
-    store: CheckpointStore,
+    merger: Merger<CheckpointStore>,
     table: LeaseTable,
-    /// Absorbed tallies parked until their index is next; `bool` is the resumed flag.
-    ready: BTreeMap<usize, (ChunkTally, bool)>,
-    next_emit: usize,
-    cumulative: CampaignResult,
-    resumed_chunks: usize,
-    stopped: bool,
 }
 
 impl Coordinator {
@@ -65,87 +55,53 @@ impl Coordinator {
         categories: Vec<String>,
         trials_total: u64,
     ) -> Result<Self, ServeError> {
-        for record in store.completed().values() {
-            record.verify_against(&chunks, categories.len())?;
-        }
         let table = LeaseTable::new(chunks.len(), store.completed().keys().copied());
-        let ready: BTreeMap<usize, (ChunkTally, bool)> = store
-            .completed()
-            .values()
-            .map(|record| (record.chunk.index, (record.tally.clone(), true)))
-            .collect();
-        let resumed_chunks = ready.len();
-        let cumulative = CampaignResult {
-            categories: categories.clone(),
-            sdc_counts: vec![0; categories.len()],
-            trials: 0,
-            unactivated: 0,
-        };
         Ok(Coordinator {
-            fingerprint: store.fingerprint().to_string(),
-            chunks,
-            categories,
-            trials_total,
-            store,
+            merger: Merger::new(store, chunks, categories, trials_total)?,
             table,
-            ready,
-            next_emit: 0,
-            cumulative,
-            resumed_chunks,
-            stopped: false,
         })
     }
 
     /// The campaign fingerprint this coordinator merges records for.
     pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
+        self.merger.store().fingerprint()
     }
 
     /// Chunks in the canonical partition.
     pub fn total_chunks(&self) -> usize {
-        self.chunks.len()
+        self.merger.total_chunks()
     }
 
     /// Chunks that were already durable when the coordinator opened.
     pub fn resumed_chunks(&self) -> usize {
-        self.resumed_chunks
+        self.merger.resumed_chunks()
     }
 
     /// Whether every chunk has been absorbed and emitted.
     pub fn is_done(&self) -> bool {
-        self.next_emit == self.chunks.len()
+        self.merger.is_done()
     }
 
     /// Whether a sink stopped the campaign (the server translates this to cancelled).
     pub fn is_stopped(&self) -> bool {
-        self.stopped
+        self.merger.is_stopped()
     }
 
     /// Marks the campaign stopped: subsequent claims return no work.
     pub fn stop(&mut self) {
-        self.stopped = true;
+        self.merger.stop();
     }
 
     /// The merged counts so far (the final result once [`Coordinator::is_done`]).
     pub fn cumulative(&self) -> &CampaignResult {
-        &self.cumulative
+        self.merger.cumulative()
     }
 
     /// Emits the campaign-opening events: `GoldenDone` with the partition summary,
     /// then every resumed chunk in canonical order (and `CampaignDone` if the store
     /// already covers the whole campaign).
     pub fn begin(&mut self, sink: &mut dyn CampaignSink) {
-        let golden = CampaignEvent::GoldenDone {
-            total_chunks: self.chunks.len(),
-            resumed_chunks: self.resumed_chunks,
-            trials_total: self.trials_total,
-            categories: self.categories.clone(),
-        };
-        if sink.event(&golden) == SinkFlow::Stop {
-            self.stopped = true;
-            return;
-        }
-        self.emit_ready(sink);
+        self.merger.begin(sink);
     }
 
     /// Claims the next free contiguous chunk range for `worker` (see
@@ -159,7 +115,7 @@ impl Coordinator {
         now: Instant,
     ) -> Option<LeaseGrant> {
         self.sweep(now);
-        if self.stopped {
+        if self.is_stopped() {
             return None;
         }
         let grant = self.table.claim(worker, max_chunks, ttl_ms, now);
@@ -252,26 +208,22 @@ impl Coordinator {
         sink: &mut dyn CampaignSink,
     ) -> Result<(), ServeError> {
         self.sweep(now);
-        if claimed_fingerprint != self.fingerprint {
+        if claimed_fingerprint != self.fingerprint() {
             observe("serve.merge.rejected");
             return Err(ServeError::FingerprintMismatch {
-                expected: self.fingerprint.clone(),
+                expected: self.fingerprint().to_string(),
                 found: claimed_fingerprint.to_string(),
             });
         }
-        if let Some(existing) = self.store.completed().get(&record.chunk.index) {
-            // A worker retrying a push whose response was lost: the identical record
-            // is already durable, so the merge is a no-op either way.
-            if *existing == record {
-                observe("serve.merge.duplicate");
-                return Ok(());
-            }
-            observe("serve.merge.rejected");
-            return Err(ServeError::Corrupt(format!(
-                "chunk {} is already durable with a different tally — two workers \
-                 disagree about the same deterministic chunk",
-                record.chunk.index
-            )));
+        // A worker retrying a push whose response was lost: the identical record is
+        // already durable, so the merge is a no-op either way.
+        if self
+            .merger
+            .is_duplicate(&record)
+            .inspect_err(|_| observe("serve.merge.rejected"))?
+        {
+            observe("serve.merge.duplicate");
+            return Ok(());
         }
         match self.table.touch(token, record.chunk.index, now) {
             Ok(TouchOutcome::Live) => {}
@@ -281,16 +233,13 @@ impl Coordinator {
                 return Err(ServeError::Lease(error));
             }
         }
-        record
-            .verify_against(&self.chunks, self.categories.len())
+        self.merger
+            .verify(&record)
             .inspect_err(|_| observe("serve.merge.rejected"))?;
-
-        // Durability before visibility: fsync'd into the store, then emitted.
-        self.store.append(&record)?;
-        self.table.complete(record.chunk.index);
+        let index = record.chunk.index;
+        self.merger.commit(record, sink)?;
+        self.table.complete(index);
         observe("serve.merge.accepted");
-        self.ready.insert(record.chunk.index, (record.tally, false));
-        self.emit_ready(sink);
         Ok(())
     }
 
@@ -301,33 +250,6 @@ impl Coordinator {
             ranger_obs::registry()
                 .counter("serve.leases.expired")
                 .add(expired as u64);
-        }
-    }
-
-    /// Drains every in-order tally into the cumulative result and the sink, closing
-    /// with `CampaignDone` when the last chunk emits.
-    fn emit_ready(&mut self, sink: &mut dyn CampaignSink) {
-        while !self.stopped {
-            let Some((tally, resumed)) = self.ready.remove(&self.next_emit) else {
-                break;
-            };
-            self.cumulative.absorb(&tally);
-            let event = CampaignEvent::ChunkDone {
-                chunk: self.chunks[self.next_emit],
-                tally,
-                resumed,
-                cumulative: self.cumulative.clone(),
-            };
-            self.next_emit += 1;
-            if sink.event(&event) == SinkFlow::Stop {
-                self.stopped = true;
-            }
-        }
-        if !self.stopped && self.is_done() {
-            debug_assert_eq!(self.cumulative.trials, self.trials_total);
-            sink.event(&CampaignEvent::CampaignDone {
-                result: self.cumulative.clone(),
-            });
         }
     }
 }

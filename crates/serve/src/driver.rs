@@ -1,14 +1,14 @@
 //! The chunked campaign driver: checkpointed, streaming execution of a
 //! [`PreparedCampaign`].
 //!
-//! [`drive`] is the heart of the service. It takes a campaign already compiled into
-//! work units, a [`CheckpointStore`] keyed by the campaign's fingerprint, a worker pool
-//! and a [`CampaignSink`], and executes every chunk not yet on record:
+//! [`drive`] is the heart of the service, and it is two shared parts wired together:
+//! the campaign executor ([`PreparedCampaign::execute`]) runs every chunk not yet on
+//! record on a worker pool, and the ordered merger — the same one the sharding
+//! coordinator uses — turns each completed tally into a durable record and an event:
 //!
-//! * **Pending chunks** run on the pool via
-//!   [`ThreadPool::run_with_consumer`], one buffer arena
-//!   per worker; each completed tally is appended to the checkpoint — fsync'd — *before*
-//!   it is reported, so every chunk event a client observes is durable.
+//! * **Pending chunks** run on the pool, one buffer arena per worker; each completed
+//!   tally is appended to the checkpoint — fsync'd — *before* it is reported, so every
+//!   chunk event a client observes is durable.
 //! * **Resumed chunks** are replayed from the store (after verifying their geometry
 //!   against the prepared partition) without running a single forward pass.
 //! * **Emission** is reordered to canonical chunk-index order whatever the completion
@@ -20,11 +20,11 @@
 //! configuration, however many times the campaign was killed and resumed in between.
 
 use crate::checkpoint::{CheckpointStore, ChunkRecord};
-use crate::sink::{CampaignEvent, CampaignSink, SinkFlow};
+use crate::merger::Merger;
+use crate::sink::CampaignSink;
 use crate::ServeError;
-use ranger_inject::{CampaignError, CampaignResult, ChunkTally, PreparedCampaign, TrialChunk};
+use ranger_inject::{CampaignResult, PreparedCampaign, TrialChunk};
 use ranger_runtime::ThreadPool;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How a driven campaign ended.
@@ -42,16 +42,18 @@ pub enum DriveOutcome {
 /// events into `sink` and persisting every completed chunk into `store`.
 ///
 /// `cancel` is checked before each pending chunk executes and may be set at any time by
-/// another thread (the service's cancel request); the sink returning [`SinkFlow::Stop`]
-/// sets it too. Stopping is cooperative: in-flight chunks finish and are checkpointed,
-/// further chunks are skipped.
+/// another thread (the service's cancel request); the sink returning
+/// [`SinkFlow::Stop`](crate::SinkFlow::Stop) sets it too. Stopping is cooperative:
+/// in-flight chunks finish and are checkpointed, further chunks are skipped. A failing
+/// chunk does not stop the campaign: the other scheduled chunks still run and are
+/// checkpointed, so the reported error never depends on scheduling.
 ///
 /// # Errors
 ///
 /// Returns [`ServeError::Corrupt`] if a checkpoint record's geometry does not match the
 /// prepared partition (the fingerprint should make this unreachable short of file
-/// tampering), or [`ServeError::Campaign`] if work units fail — with
-/// [`CampaignError::Failures`] context when more than one did.
+/// tampering), the store's error if an append fails, or [`ServeError::Campaign`] if
+/// work units fail — reported as [`PreparedCampaign::execute`] reports them.
 pub fn drive(
     prepared: &PreparedCampaign<'_>,
     store: &mut CheckpointStore,
@@ -60,166 +62,41 @@ pub fn drive(
     sink: &mut dyn CampaignSink,
 ) -> Result<DriveOutcome, ServeError> {
     let chunks = prepared.chunks();
-    // Trust no record until it passes the same merge-verify pass the sharding
-    // coordinator applies to remote records: geometry and tally shape must match the
-    // canonical partition exactly.
-    for record in store.completed().values() {
-        record.verify_against(chunks, prepared.categories().len())?;
-    }
-
-    let trials_total = (prepared.config().trials * prepared.num_inputs()) as u64;
-    let golden = CampaignEvent::GoldenDone {
-        total_chunks: chunks.len(),
-        resumed_chunks: store.len(),
-        trials_total,
-        categories: prepared.categories().to_vec(),
-    };
-    if sink.event(&golden) == SinkFlow::Stop {
-        cancel.store(true, Ordering::SeqCst);
-        return Ok(DriveOutcome::Stopped(prepared.empty_result()));
-    }
-
-    // Emission state: tallies parked until their index is next, replayed records first.
-    let mut ready: BTreeMap<usize, (ChunkTally, bool)> = store
-        .completed()
-        .values()
-        .map(|record| (record.chunk.index, (record.tally.clone(), true)))
-        .collect();
-    let mut cumulative = prepared.empty_result();
-    let mut next_emit = 0usize;
-    let mut stopped = false;
-
-    // Drains every in-order tally into the cumulative result and the sink. Kept as a
-    // closure-free helper so the pool consumer below can call it without aliasing.
-    fn emit_ready(
-        ready: &mut BTreeMap<usize, (ChunkTally, bool)>,
-        next_emit: &mut usize,
-        cumulative: &mut CampaignResult,
-        chunks: &[TrialChunk],
-        sink: &mut dyn CampaignSink,
-        cancel: &AtomicBool,
-        stopped: &mut bool,
-    ) {
-        while !*stopped {
-            let Some((tally, resumed)) = ready.remove(next_emit) else {
-                break;
-            };
-            cumulative.absorb(&tally);
-            let event = CampaignEvent::ChunkDone {
-                chunk: chunks[*next_emit],
-                tally,
-                resumed,
-                cumulative: cumulative.clone(),
-            };
-            *next_emit += 1;
-            if sink.event(&event) == SinkFlow::Stop {
-                cancel.store(true, Ordering::SeqCst);
-                *stopped = true;
-            }
-        }
-    }
-
-    emit_ready(
-        &mut ready,
-        &mut next_emit,
-        &mut cumulative,
-        chunks,
-        sink,
-        cancel,
-        &mut stopped,
-    );
-
-    // Everything not on record runs on the pool; completion order is arbitrary.
     let pending: Vec<TrialChunk> = chunks
         .iter()
         .filter(|chunk| !store.completed().contains_key(&chunk.index))
         .copied()
         .collect();
-    // The first failure in chunk-index order, plus how many more failed behind it.
-    let mut first_failure: Option<(usize, CampaignError)> = None;
-    let mut failures = 0usize;
-    let mut append_failure: Option<ServeError> = None;
-    {
-        let pending = &pending;
-        let store = &mut *store;
-        let ready = &mut ready;
-        let next_emit = &mut next_emit;
-        let cumulative = &mut cumulative;
-        let stopped = &mut stopped;
-        let first_failure = &mut first_failure;
-        let failures = &mut failures;
-        let append_failure = &mut append_failure;
-        pool.run_with_consumer(
-            |_worker| prepared.buffers(),
-            pending.iter().map(|&chunk| {
-                move |values: &mut ranger_graph::exec::Values| {
-                    if cancel.load(Ordering::SeqCst) {
-                        return Ok(None); // cooperative cancellation: skip, don't run
-                    }
-                    prepared.run_chunk(values, chunk).map(Some)
-                }
-            }),
-            |task_index, result: Result<Option<ChunkTally>, CampaignError>| {
-                let chunk = pending[task_index];
-                match result {
-                    Ok(None) => {} // skipped after cancellation
-                    Ok(Some(tally)) => {
-                        // Durability before visibility: fsync the record, then emit.
-                        let record = ChunkRecord { chunk, tally };
-                        if let Err(e) = store.append(&record) {
-                            if append_failure.is_none() {
-                                *append_failure = Some(e);
-                            }
-                            cancel.store(true, Ordering::SeqCst);
-                            return;
-                        }
-                        ready.insert(chunk.index, (record.tally, false));
-                        emit_ready(ready, next_emit, cumulative, chunks, sink, cancel, stopped);
-                    }
-                    Err(error) => {
-                        *failures += 1;
-                        let earlier = first_failure
-                            .as_ref()
-                            .is_some_and(|&(index, _)| index < chunk.index);
-                        if !earlier {
-                            *first_failure = Some((chunk.index, error));
-                        }
-                        // A failing campaign cannot complete; stop scheduling work.
-                        cancel.store(true, Ordering::SeqCst);
-                    }
-                }
-            },
-        );
+    let mut merger = Merger::new(
+        store,
+        chunks.to_vec(),
+        prepared.categories().to_vec(),
+        (prepared.config().trials * prepared.num_inputs()) as u64,
+    )?;
+    merger.begin(sink);
+    if merger.is_stopped() {
+        cancel.store(true, Ordering::SeqCst);
     }
 
-    // Fold whatever plan timings accumulated into the registry, whatever the outcome:
-    // a stopped or failed drive still spent wall time worth accounting for.
-    prepared.publish_metrics();
-
+    let mut append_failure: Option<ServeError> = None;
+    let executed = prepared.execute(&pending, pool, cancel, |chunk, tally| {
+        // Durability before visibility: the merger fsyncs the record, then emits.
+        if let Err(e) = merger.commit(ChunkRecord { chunk, tally }, sink) {
+            append_failure.get_or_insert(e);
+            cancel.store(true, Ordering::SeqCst);
+        }
+        if merger.is_stopped() {
+            cancel.store(true, Ordering::SeqCst);
+        }
+    });
     if let Some(e) = append_failure {
         return Err(e);
     }
-    if let Some((index, first)) = first_failure {
-        let unit = chunks[index];
-        return Err(ServeError::Campaign(if failures > 1 {
-            CampaignError::Failures {
-                first: Box::new(first),
-                input: unit.input,
-                chunk: unit.index,
-                suppressed: failures - 1,
-            }
-        } else {
-            first
-        }));
-    }
-    if cancel.load(Ordering::SeqCst) || stopped {
-        return Ok(DriveOutcome::Stopped(cumulative));
-    }
-
-    debug_assert_eq!(next_emit, chunks.len(), "all chunks must have been emitted");
-    debug_assert_eq!(cumulative.trials, trials_total);
-    sink.event(&CampaignEvent::CampaignDone {
-        result: cumulative.clone(),
-    });
-    Ok(DriveOutcome::Completed(cumulative))
+    executed?;
+    let result = merger.cumulative().clone();
+    Ok(if merger.is_done() && !merger.is_stopped() {
+        DriveOutcome::Completed(result)
+    } else {
+        DriveOutcome::Stopped(result)
+    })
 }

@@ -6,10 +6,11 @@
 //! the tallies converge. This crate turns the campaign runner into a **service**, in
 //! three layers:
 //!
-//! * [`driver`] — a chunked campaign driver built on
-//!   [`PreparedCampaign`](ranger_inject::PreparedCampaign): work units execute on the
-//!   [`ranger_runtime`] pool and an ordered stream of incremental tally events flows
-//!   through a [`CampaignSink`].
+//! * [`driver`] — a chunked campaign driver: the campaign executor
+//!   ([`PreparedCampaign::execute`](ranger_inject::PreparedCampaign::execute)) runs work
+//!   units on the [`ranger_runtime`] pool, and an ordered merger — shared with the
+//!   sharding [`Coordinator`] — makes each tally durable, then streams incremental
+//!   events through a [`CampaignSink`] in canonical chunk order.
 //! * [`checkpoint`] — an append-only, fsync'd, versioned file of completed-chunk
 //!   records, keyed by a [campaign fingerprint](fingerprint::campaign_fingerprint). A
 //!   restarted driver verifies the fingerprint, skips the completed chunks and — because
@@ -37,6 +38,7 @@ pub mod coordinator;
 pub mod driver;
 pub mod fingerprint;
 pub mod lease;
+mod merger;
 pub mod protocol;
 pub mod server;
 pub mod sink;

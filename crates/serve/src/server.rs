@@ -2,11 +2,9 @@
 //!
 //! [`CampaignServer`] binds a [`std::net::TcpListener`], then serves line-JSON
 //! [`Request`]s. Each submitted campaign runs on its own worker thread, driving the
-//! checkpointed [`driver`](crate::driver) with a sink that appends events to an
-//! in-memory log; any number of stream connections replay that log and follow it live
-//! via a condvar. One [`ThreadPool`] value per worker-count is shared across all
-//! campaigns ever submitted to the server, so back-to-back requests reuse the pool
-//! configuration instead of rebuilding per request.
+//! checkpointed [`driver`](crate::driver) on a [`ThreadPool`] of the campaign's worker
+//! count, with a sink that appends events to an in-memory log; any number of stream
+//! connections replay that log and follow it live via a condvar.
 //!
 //! The server is deliberately boring: blocking I/O, `std` threads, no async runtime —
 //! campaign forward passes dominate any realistic workload by orders of magnitude.
@@ -180,24 +178,11 @@ impl CampaignSink for ServerSink {
     }
 }
 
-/// Shared server state: the campaign registry, the pool cache and the shutdown flag.
+/// Shared server state: the campaign registry and the shutdown flag.
 struct ServerState {
     checkpoint_dir: PathBuf,
     campaigns: Mutex<HashMap<String, Arc<CampaignHandle>>>,
-    /// One pool value per worker count, shared by every campaign the server ever runs.
-    pools: Mutex<HashMap<usize, ThreadPool>>,
     shutdown: AtomicBool,
-}
-
-impl ServerState {
-    fn pool_for(&self, workers: usize) -> ThreadPool {
-        self.pools
-            .lock()
-            .expect("pool lock poisoned")
-            .entry(workers.max(1))
-            .or_insert_with(|| ThreadPool::new(workers.max(1)))
-            .clone()
-    }
 }
 
 /// A bound, not-yet-running campaign server.
@@ -226,7 +211,6 @@ impl CampaignServer {
             state: Arc::new(ServerState {
                 checkpoint_dir,
                 campaigns: Mutex::new(HashMap::new()),
-                pools: Mutex::new(HashMap::new()),
                 shutdown: AtomicBool::new(false),
             }),
         })
@@ -676,7 +660,7 @@ fn submit(state: &Arc<ServerState>, spec: CampaignSpec) -> Result<Response, Serv
         .gauge("serve.active_campaigns")
         .add(1);
 
-    let pool = state.pool_for(materialized.config.workers);
+    let pool = ThreadPool::new(materialized.config.workers.max(1));
     let worker_handle = Arc::clone(&handle);
     std::thread::spawn(move || run_campaign_worker(materialized, store, pool, worker_handle));
     Ok(Response::Submitted {

@@ -1,19 +1,23 @@
 //! Worker hosts for sharded campaigns: claim, execute, push, repeat.
 //!
-//! Two entry points share the claim/execute/push discipline:
+//! Two entry points share the claim/execute/push discipline, and both execute a
+//! granted range the same way: through the campaign executor
+//! ([`PreparedCampaign::execute`]), whose callback pushes each completed record to the
+//! coordinator as it arrives.
 //!
 //! * [`run_sharded`] — the in-process harness: one [`Coordinator`] behind a mutex,
-//!   `hosts` threads playing worker hosts, each claiming chunk ranges and absorbing
-//!   records directly. This is what the sharded-parity proptest drives, and what
+//!   `hosts` threads playing worker hosts, each claiming chunk ranges, running them
+//!   inline (a 1-worker pool) and absorbing records directly. This is what the
+//!   sharded-parity proptest drives, and what
 //!   [`Pipeline::shard_run`](../../ranger_engine/struct.Pipeline.html) routes through
 //!   — the full lease-lifecycle and merge-verify machinery with no sockets involved.
 //! * [`work`] — the remote worker the CLI's `work` command runs: fetch the campaign
 //!   spec from a coordinator over TCP, materialize it locally, verify the fingerprint
 //!   matches (a worker must never compute against a different campaign than it
-//!   claims chunks of), then loop claiming ranges, driving them through the existing
-//!   [`PreparedCampaign`] chunk executor and pushing every record back. Each push
-//!   renews the lease, so a worker stays leased as long as it makes progress; a
-//!   worker that dies simply stops pushing and its range is re-leased after expiry.
+//!   claims chunks of), then loop claiming ranges, executing them on a
+//!   `config.workers`-wide pool and pushing every record back. Each push renews the
+//!   lease, so a worker stays leased as long as it makes progress; a worker that dies
+//!   simply stops pushing and its range is re-leased after expiry.
 //!
 //! Correctness never depends on scheduling: fault plans are keyed by
 //! `(input, trial)` index, so any interleaving of hosts, claims and re-leases merges
@@ -25,7 +29,7 @@ use crate::coordinator::Coordinator;
 use crate::driver::DriveOutcome;
 use crate::sink::{CampaignEvent, CampaignSink, SinkFlow};
 use crate::ServeError;
-use ranger_inject::{CampaignError, PreparedCampaign, TrialChunk};
+use ranger_inject::{PreparedCampaign, TrialChunk};
 use ranger_runtime::ThreadPool;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -199,7 +203,8 @@ impl Drop for HostGuard<'_> {
 /// # Errors
 ///
 /// Returns [`ServeError::Campaign`] if a chunk execution fails, or the coordinator's
-/// error if a record cannot be durably absorbed.
+/// error if a record cannot be durably absorbed. A host that hits either cancels the
+/// whole campaign, so with several failing hosts the first one's error is reported.
 pub fn run_sharded(
     prepared: &PreparedCampaign<'_>,
     store: CheckpointStore,
@@ -222,9 +227,9 @@ pub fn run_sharded(
         cancel: AtomicBool::new(false),
         active: AtomicUsize::new(hosts),
     };
-    // The first execution failure, kept by lowest chunk index so the reported error is
-    // deterministic whatever the host interleaving was.
-    let failure: Mutex<Option<(usize, ServeError)>> = Mutex::new(None);
+    // The first host failure. A failing host cancels the campaign (a failed chunk never
+    // completes, so its range would be re-leased forever), so there is usually one.
+    let failure: Mutex<Option<ServeError>> = Mutex::new(None);
 
     {
         let coordinator = &coordinator;
@@ -245,11 +250,9 @@ pub fn run_sharded(
             scope.spawn(move || {
                 let _guard = HostGuard(relay);
                 let worker_name = format!("host-{host}");
-                let mut values = prepared.buffers();
-                loop {
-                    if relay.cancel.load(Ordering::SeqCst) {
-                        break;
-                    }
+                // Each host runs its granted ranges inline, like a 1-worker remote host.
+                let pool = ThreadPool::new(1);
+                while !relay.cancel.load(Ordering::SeqCst) {
                     let claimed = {
                         let mut coordinator =
                             coordinator.lock().expect("coordinator lock poisoned");
@@ -269,51 +272,46 @@ pub fn run_sharded(
                         std::thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
                         continue;
                     };
-                    for (index, &chunk) in
-                        chunks.iter().enumerate().take(grant.end).skip(grant.start)
-                    {
-                        if relay.cancel.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match prepared.run_chunk(&mut values, chunk) {
-                            Ok(tally) => {
-                                let record = ChunkRecord { chunk, tally };
-                                let absorbed = {
-                                    let mut coordinator =
-                                        coordinator.lock().expect("coordinator lock poisoned");
-                                    let mut sink = RelaySink { relay };
-                                    coordinator.absorb(
-                                        fingerprint,
-                                        grant.token,
-                                        record,
-                                        Instant::now(),
-                                        &mut sink,
-                                    )
-                                };
-                                match absorbed {
-                                    Ok(()) => {}
-                                    Err(ServeError::Lease(_)) => {
-                                        // The lease expired and someone else owns the
-                                        // range now; abandon it and claim afresh.
-                                        break;
-                                    }
-                                    Err(e) => {
-                                        record_failure(failure, index, e);
-                                        relay.cancel.store(true, Ordering::SeqCst);
-                                        break;
-                                    }
+                    // Stops this range: a lost lease, a failed absorb or a cancelled
+                    // campaign.
+                    let abandon = AtomicBool::new(false);
+                    let mut absorb_error: Option<ServeError> = None;
+                    let executed = prepared.execute(
+                        &chunks[grant.start..grant.end],
+                        &pool,
+                        &abandon,
+                        |chunk, tally| {
+                            let absorbed = coordinator
+                                .lock()
+                                .expect("coordinator lock poisoned")
+                                .absorb(
+                                    fingerprint,
+                                    grant.token,
+                                    ChunkRecord { chunk, tally },
+                                    Instant::now(),
+                                    &mut RelaySink { relay },
+                                );
+                            match absorbed {
+                                Ok(()) => {}
+                                // The lease expired and someone else owns the range
+                                // now; abandon it and claim afresh.
+                                Err(ServeError::Lease(_)) => abandon.store(true, Ordering::SeqCst),
+                                Err(e) => {
+                                    absorb_error.get_or_insert(e);
+                                    abandon.store(true, Ordering::SeqCst);
                                 }
                             }
-                            Err(error) => {
-                                record_failure(
-                                    failure,
-                                    index,
-                                    ServeError::Campaign(wrap_chunk_error(error, chunk)),
-                                );
-                                relay.cancel.store(true, Ordering::SeqCst);
-                                break;
+                            if relay.cancel.load(Ordering::SeqCst) {
+                                abandon.store(true, Ordering::SeqCst);
                             }
-                        }
+                        },
+                    );
+                    if let Some(error) = absorb_error.or(executed.err().map(ServeError::Campaign)) {
+                        failure
+                            .lock()
+                            .expect("failure lock poisoned")
+                            .get_or_insert(error);
+                        relay.cancel.store(true, Ordering::SeqCst);
                     }
                     let _ = coordinator
                         .lock()
@@ -348,9 +346,7 @@ pub fn run_sharded(
         }
     });
 
-    prepared.publish_metrics();
-
-    if let Some((_, error)) = failure.lock().expect("failure lock poisoned").take() {
+    if let Some(error) = failure.into_inner().expect("failure lock poisoned") {
         return Err(error);
     }
     let coordinator = coordinator.into_inner().expect("coordinator lock poisoned");
@@ -358,25 +354,6 @@ pub fn run_sharded(
         Ok(DriveOutcome::Completed(coordinator.cumulative().clone()))
     } else {
         Ok(DriveOutcome::Stopped(coordinator.cumulative().clone()))
-    }
-}
-
-fn record_failure(failure: &Mutex<Option<(usize, ServeError)>>, index: usize, error: ServeError) {
-    let mut slot = failure.lock().expect("failure lock poisoned");
-    let replace = slot.as_ref().is_none_or(|&(held, _)| index < held);
-    if replace {
-        *slot = Some((index, error));
-    }
-}
-
-/// Attaches the failing chunk's coordinates to a bare execution error, matching the
-/// local driver's reporting.
-fn wrap_chunk_error(error: CampaignError, chunk: TrialChunk) -> CampaignError {
-    CampaignError::Failures {
-        first: Box::new(error),
-        input: chunk.input,
-        chunk: chunk.index,
-        suppressed: 0,
     }
 }
 
@@ -439,7 +416,6 @@ pub fn work(
                     std::thread::sleep(Duration::from_millis(wait));
                     continue;
                 }
-                prepared.publish_metrics();
                 return Ok(WorkReport {
                     id: id.to_string(),
                     chunks_executed,
@@ -455,75 +431,40 @@ pub fn work(
             token: grant.token,
         });
 
-        // Execute the range on the pool; the consumer (on this thread) pushes each
+        // Execute the range on the pool; the callback (on this thread) pushes each
         // record as it completes, renewing the lease with every accepted push.
-        let pending: Vec<TrialChunk> = (grant.start..grant.end)
-            .map(|index| chunks[index])
-            .collect();
         let abandon = AtomicBool::new(false);
         let mut push_error: Option<ServeError> = None;
         let mut lease_lost: Option<WorkEvent> = None;
-        {
-            let prepared = &prepared;
-            let abandon = &abandon;
-            let client = &client;
-            let push_error = &mut push_error;
-            let lease_lost = &mut lease_lost;
-            let chunks_executed = &mut chunks_executed;
-            let trials_executed = &mut trials_executed;
-            let pending_ref = &pending;
-            pool.run_with_consumer(
-                |_worker| prepared.buffers(),
-                pending.iter().map(|&chunk| {
-                    move |values: &mut ranger_graph::exec::Values| {
-                        if abandon.load(Ordering::SeqCst) {
-                            return Ok(None);
-                        }
-                        prepared.run_chunk(values, chunk).map(Some)
+        let executed = prepared.execute(
+            &chunks[grant.start..grant.end],
+            &pool,
+            &abandon,
+            |chunk, tally| {
+                let record = ChunkRecord { chunk, tally };
+                match client.push(id, grant.token, &record) {
+                    Ok(()) => {
+                        chunks_executed += 1;
+                        trials_executed += record.tally.trials;
                     }
-                }),
-                |task_index, result| {
-                    let chunk = pending_ref[task_index];
-                    match result {
-                        Ok(None) => {}
-                        Ok(Some(tally)) => {
-                            let record = ChunkRecord { chunk, tally };
-                            match client.push(id, grant.token, &record) {
-                                Ok(()) => {
-                                    *chunks_executed += 1;
-                                    *trials_executed += record.tally.trials;
-                                }
-                                Err(ServeError::Lease(reason)) => {
-                                    if lease_lost.is_none() {
-                                        *lease_lost = Some(WorkEvent::LeaseLost {
-                                            token: grant.token,
-                                            reason: reason.to_string(),
-                                        });
-                                    }
-                                    abandon.store(true, Ordering::SeqCst);
-                                }
-                                Err(e) => {
-                                    if push_error.is_none() {
-                                        *push_error = Some(e);
-                                    }
-                                    abandon.store(true, Ordering::SeqCst);
-                                }
-                            }
-                        }
-                        Err(error) => {
-                            if push_error.is_none() {
-                                *push_error =
-                                    Some(ServeError::Campaign(wrap_chunk_error(error, chunk)));
-                            }
-                            abandon.store(true, Ordering::SeqCst);
-                        }
+                    Err(ServeError::Lease(reason)) => {
+                        lease_lost.get_or_insert(WorkEvent::LeaseLost {
+                            token: grant.token,
+                            reason: reason.to_string(),
+                        });
+                        abandon.store(true, Ordering::SeqCst);
                     }
-                },
-            );
-        }
+                    Err(e) => {
+                        push_error.get_or_insert(e);
+                        abandon.store(true, Ordering::SeqCst);
+                    }
+                }
+            },
+        );
         if let Some(e) = push_error {
             return Err(e);
         }
+        executed?;
         if let Some(event) = &lease_lost {
             on_event(event);
         } else {
