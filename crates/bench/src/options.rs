@@ -22,9 +22,9 @@ pub struct ExpOptions {
     /// fault datatype to its word format; fixed-point-specific binaries (fig9) manage
     /// the backend themselves.
     pub backend: BackendKind,
-    /// Trials per row group on the tiled batched scheduler (0 = untiled,
+    /// Trials per row group on the tiled scheduler (0 = the whole batch is one group,
     /// [`TILE_AUTO`] = derive from the warmed plan's cache footprint; any tile size
-    /// reproduces identical SDC counts). Defaults to `RANGER_TILE` when set.
+    /// reproduces identical SDC counts).
     pub tile: usize,
     /// Number of (correctly predicted) inputs per model.
     pub inputs: usize,
@@ -43,7 +43,7 @@ impl Default for ExpOptions {
             batch: 1,
             workers: ranger_runtime::default_workers(),
             backend: ranger_inject::default_backend(),
-            tile: ranger_inject::default_tile(),
+            tile: 0,
             inputs: 5,
             seed: 42,
             full: false,

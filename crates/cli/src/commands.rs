@@ -77,13 +77,13 @@ pub(crate) fn parse_backend_and_datatype(
     Ok((backend, datatype))
 }
 
-/// Parses `--tile N|auto` (default: `RANGER_TILE`, then untiled): how many trials of
-/// each batched campaign pass the tiled scheduler runs per row group. `0` disables
-/// tiling, `auto` derives the group size from the warmed plan's cache footprint. Junk
-/// values are rejected loudly — silently running untiled would mislabel the run.
-pub(crate) fn parse_tile(options: &Options) -> Result<usize, CliError> {
+/// Parses `--tile N|auto` (default `0`: the row group is the whole batch): how many
+/// trials of each campaign pass the tiled scheduler runs per row group. `auto` derives
+/// the group size from the warmed plan's cache footprint. Junk values are rejected
+/// loudly — silently running untiled would mislabel the run.
+fn parse_tile(options: &Options) -> Result<usize, CliError> {
     match options.get("tile") {
-        None => ranger_inject::try_default_tile().map_err(CliError::Usage),
+        None => Ok(0),
         Some(raw) if raw.eq_ignore_ascii_case("auto") => Ok(ranger_inject::TILE_AUTO),
         Some(raw) => raw.parse().map_err(|_| {
             CliError::Usage(format!(
@@ -92,6 +92,28 @@ pub(crate) fn parse_tile(options: &Options) -> Result<usize, CliError> {
             ))
         }),
     }
+}
+
+/// Parses the campaign flags every campaign command shares — `--trials`, `--batch`,
+/// `--workers`, `--backend`/`--fixed16`, `--bits`, `--seed` and `--tile` — into a
+/// [`CampaignConfig`]. `default_seed` is the seed when `--seed` is absent.
+pub(crate) fn parse_campaign_config(
+    options: &Options,
+    default_seed: u64,
+) -> Result<CampaignConfig, CliError> {
+    let (backend, datatype) = parse_backend_and_datatype(options)?;
+    Ok(CampaignConfig {
+        trials: options.get_parsed("trials", 100usize)?,
+        batch: options.get_parsed("batch", 1usize)?,
+        workers: options.get_parsed("workers", ranger_runtime::default_workers())?,
+        backend,
+        fault: FaultModel {
+            datatype,
+            bits: options.get_parsed("bits", 1usize)?,
+        },
+        seed: options.get_parsed("seed", default_seed)?,
+        tile: parse_tile(options)?,
+    })
 }
 
 /// Parses `--policy saturate|zero|random` into the protector for that policy.
@@ -141,16 +163,10 @@ pub fn protect(options: &Options) -> Result<String, CliError> {
 /// printing (and optionally saving) the JSON experiment record.
 pub fn pipeline(options: &Options) -> Result<String, CliError> {
     let kind = parse_model_name(options.require("model")?)?;
-    let seed = options.get_parsed("seed", 42u64)?;
-    let trials = options.get_parsed("trials", 100usize)?;
-    let batch = options.get_parsed("batch", 1usize)?;
-    let workers = options.get_parsed("workers", ranger_runtime::default_workers())?;
+    let config = parse_campaign_config(options, 42)?;
     let inputs = options.get_parsed("inputs", 3usize)?;
     let percentile = options.get_parsed("percentile", 100.0f64)?;
     let fraction = options.get_parsed("fraction", ranger_engine::DEFAULT_PROFILE_FRACTION)?;
-    let bits = options.get_parsed("bits", 1usize)?;
-    let (backend, datatype) = parse_backend_and_datatype(options)?;
-    let tile = parse_tile(options)?;
     let profile_ops = options.has_flag("profile");
     if profile_ops {
         // Timing slots are sized when plans warm, so the registry must be on already.
@@ -158,19 +174,11 @@ pub fn pipeline(options: &Options) -> Result<String, CliError> {
     }
 
     let mut builder = Pipeline::for_model(kind)
-        .seed(seed)
+        .seed(config.seed)
         .profile(BoundsConfig::with_percentile(percentile))
         .profile_fraction(fraction)
         .protect(RangerConfig::with_policy(parse_policy(options)?))
-        .campaign(CampaignConfig {
-            trials,
-            batch,
-            workers,
-            backend,
-            fault: FaultModel { datatype, bits },
-            seed,
-            tile,
-        })
+        .campaign(config)
         .inputs(inputs);
     if options.has_flag("quick") {
         builder = builder.train(TrainConfig::quick());
@@ -197,16 +205,9 @@ pub fn pipeline(options: &Options) -> Result<String, CliError> {
 /// `ranger-cli inject`: runs a fault-injection campaign against a saved model.
 pub fn inject(options: &Options) -> Result<String, CliError> {
     let input = options.require("in")?.to_string();
-    let trials = options.get_parsed("trials", 100usize)?;
-    let batch = options.get_parsed("batch", 1usize)?;
-    let workers = options.get_parsed("workers", ranger_runtime::default_workers())?;
     let inputs = options.get_parsed("inputs", 3usize)?;
-    let bits = options.get_parsed("bits", 1usize)?;
     let saved = SavedModel::load(Path::new(&input))?;
-    let seed = options.get_parsed("seed", saved.seed)?;
-    let (backend, datatype) = parse_backend_and_datatype(options)?;
-    let tile = parse_tile(options)?;
-    let fault = FaultModel { datatype, bits };
+    let config = parse_campaign_config(options, saved.seed)?;
     let metrics_json = options.get("metrics-json").map(str::to_string);
     let profile_ops = options.has_flag("profile");
     if metrics_json.is_some() || profile_ops {
@@ -219,7 +220,7 @@ pub fn inject(options: &Options) -> Result<String, CliError> {
     let model = &saved.model;
     let (batches, judge): (Vec<Tensor>, Box<dyn SdcJudge>) = match model.task {
         Task::Classification { .. } => {
-            let data = ModelZoo::classification_data(model.config.kind, seed);
+            let data = ModelZoo::classification_data(model.config.kind, config.seed);
             let n = inputs.min(data.validation.len());
             (
                 (0..n).map(|i| data.validation_batch(&[i]).0).collect(),
@@ -227,7 +228,7 @@ pub fn inject(options: &Options) -> Result<String, CliError> {
             )
         }
         Task::Regression { unit } => {
-            let data = ModelZoo::driving_data(seed);
+            let data = ModelZoo::driving_data(config.seed);
             let n = inputs.min(data.validation.len());
             (
                 (0..n)
@@ -243,25 +244,20 @@ pub fn inject(options: &Options) -> Result<String, CliError> {
         output: model.output,
         excluded: &model.excluded_from_injection,
     };
-    let config = CampaignConfig {
-        trials,
-        batch,
-        workers,
-        backend,
-        fault,
-        seed,
-        tile,
-    };
     let result = run_campaign(&target, &batches, judge.as_ref(), &config)?;
     let mut lines = vec![format!(
-        "{} | {} trials x {} inputs (batch {batch}, workers {workers}, backend {backend}) | fault model: {fault}",
+        "{} | {} trials x {} inputs (batch {}, workers {}, backend {}) | fault model: {}",
         if saved.protected {
             "protected with Ranger"
         } else {
             "unprotected"
         },
-        trials,
-        batches.len()
+        config.trials,
+        batches.len(),
+        config.batch,
+        config.workers,
+        config.backend,
+        config.fault
     )];
     for (category, rate) in result.rates() {
         lines.push(format!(
@@ -562,6 +558,30 @@ mod tests {
         let simd = on_backend("simd");
         assert!(simd.contains("backend simd"));
         assert_eq!(rates(&on_backend("f32")), rates(&simd));
+
+        // Row-group tiling is pure scheduling: a fixed group of 4 trials and the
+        // derived (auto) group on the SIMD backend report the per-sample rates of
+        // their backend's semantics, and an unparsable tile is a usage error.
+        let tiled = |extra: &[&str]| {
+            let mut args = vec![
+                "--in",
+                protected_path.to_str().unwrap(),
+                "--trials",
+                "20",
+                "--inputs",
+                "1",
+                "--batch",
+                "8",
+            ];
+            args.extend_from_slice(extra);
+            inject(&opts(&args))
+        };
+        assert_eq!(rates(&report), rates(&tiled(&["--tile", "4"]).unwrap()));
+        let auto = tiled(&["--tile", "auto", "--backend", "simd"]).unwrap();
+        assert_eq!(rates(&on_backend("f32")), rates(&auto));
+        let err = tiled(&["--tile", "junk"]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "unexpected error: {err}");
+        assert!(err.to_string().contains("--tile"), "{err}");
 
         // An unknown backend is a usage error; a contradictory backend/fault pairing is
         // rejected by the campaign with a descriptive message.

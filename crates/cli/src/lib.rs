@@ -127,9 +127,10 @@ COMMANDS:
              Run a fault-injection campaign and report SDC rates. --batch N executes N
              trials per forward pass and --workers N runs trial chunks on an N-worker
              pool (identical results either way, less wall-clock per trial).
-             --tile N runs batched passes as row groups of N trials through cache-sized
+             --tile N runs each pass as row groups of N trials through cache-sized
              segments of the graph (auto derives the group height from the warmed
-             shapes); pure scheduling, counts stay bit-for-bit identical.
+             shapes; the default 0 makes the whole batch one group, and --batch 1 is a
+             batch of one); pure scheduling, counts stay bit-for-bit identical.
              --backend fixed16|fixed32 runs genuine fixed-point inference and flips
              bits directly in the stored integer words (faults default to the
              backend's own word format); the default f32 backend emulates fixed-point

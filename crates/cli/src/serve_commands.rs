@@ -6,9 +6,9 @@
 //! its address the moment it is listening — the e2e tests wait on that line — and the
 //! stream client renders every chunk event as it arrives.
 
-use crate::commands::{parse_backend_and_datatype, parse_model_name, parse_tile};
+use crate::commands::{parse_campaign_config, parse_model_name};
 use crate::{CliError, Options};
-use ranger_inject::{CampaignConfig, CampaignResult, FaultModel};
+use ranger_inject::CampaignResult;
 use ranger_serve::{
     default_lease_ms, CampaignEvent, CampaignServer, CampaignSpec, Client, ModelSpec, WorkEvent,
     WorkOptions,
@@ -56,22 +56,10 @@ fn spec_from_options(options: &Options) -> Result<CampaignSpec, CliError> {
             ))
         }
     };
-    let (backend, datatype) = parse_backend_and_datatype(options)?;
     Ok(CampaignSpec {
         model,
         inputs: options.get_parsed("inputs", 3usize)?,
-        config: CampaignConfig {
-            trials: options.get_parsed("trials", 100usize)?,
-            batch: options.get_parsed("batch", 1usize)?,
-            workers: options.get_parsed("workers", ranger_runtime::default_workers())?,
-            backend,
-            fault: FaultModel {
-                datatype,
-                bits: options.get_parsed("bits", 1usize)?,
-            },
-            seed: options.get_parsed("seed", 42u64)?,
-            tile: parse_tile(options)?,
-        },
+        config: parse_campaign_config(options, 42)?,
     })
 }
 

@@ -547,12 +547,12 @@ impl Pipeline {
         self
     }
 
-    /// Sets the campaign row-group size: how many trials of each batched forward pass
-    /// the tiled scheduler executes per row group (`0` = untiled,
-    /// [`ranger_inject::TILE_AUTO`] = derive from the warmed plan's cache footprint).
-    /// Overrides [`CampaignConfig::tile`] in whatever config was (or will be) passed to
-    /// [`Pipeline::campaign`]. Any tile size produces bit-for-bit the SDC counts of the
-    /// untiled batched pass; cache-sized row groups cut batched wall-clock on
+    /// Sets the campaign row-group size: how many trials of each forward pass the tiled
+    /// scheduler executes per row group (`0` = the whole batch is one group, the
+    /// untiled pass; [`ranger_inject::TILE_AUTO`] = derive from the warmed plan's cache
+    /// footprint). Overrides [`CampaignConfig::tile`] in whatever config was (or will
+    /// be) passed to [`Pipeline::campaign`]. Any tile size produces bit-for-bit the SDC
+    /// counts of the untiled pass; cache-sized row groups cut batched wall-clock on
     /// convolutional models.
     pub fn tile(mut self, tile: usize) -> Self {
         self.tile = Some(tile);

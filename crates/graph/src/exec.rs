@@ -56,14 +56,15 @@ pub trait Interceptor {
 
     /// Row-group twin of [`Interceptor::after_op`], called by tiled execution
     /// ([`ExecPlan::run_tiled_into`](crate::plan::ExecPlan::run_tiled_into)) with one
-    /// row group of `node`'s output and its position within the full batch.
+    /// row group of `node`'s output and its position within the full batch. Only
+    /// groups smaller than the batch reach this hook: a pass whose row group covers
+    /// the whole batch is the untiled pass and calls `after_op`.
     ///
     /// The default delegates to `after_op`, treating the tile as if it were the whole
-    /// output — exact when the tile *is* the whole batch (one row group), and the
-    /// behavior a recording hook usually wants (it observes every group). Interceptors
-    /// whose mutations are addressed in whole-batch element coordinates (the fault
-    /// injectors) override this to translate [`TileRows`] offsets, so a flip lands on
-    /// the same element no matter how the batch is tiled.
+    /// output — the behavior a recording hook usually wants (it observes every group).
+    /// Interceptors whose mutations are addressed in whole-batch element coordinates
+    /// (the fault injectors) override this to translate [`TileRows`] offsets, so a
+    /// flip lands on the same element no matter how the batch is tiled.
     fn after_op_tile(&mut self, node: &Node, output: &mut Tensor, rows: TileRows) {
         let _ = rows;
         self.after_op(node, output);

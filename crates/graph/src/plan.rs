@@ -260,6 +260,34 @@ fn classify(op: &Op, inputs: &[NodeId], carrying: &[bool]) -> (bool, bool) {
     }
 }
 
+/// Wall nanoseconds elapsed since `start`, saturating.
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The batch rows a segment's carrying externals share (0 for a segment with none).
+fn segment_rows(seg: &SegmentPlan, values: &Values) -> Result<usize, GraphError> {
+    let mut total_rows: Option<usize> = None;
+    for &e in &seg.externals {
+        let dims = values.dims_of(e).ok_or(GraphError::UnknownNode(e))?;
+        let lead = *dims.first().ok_or_else(|| GraphError::ShapeError {
+            node: e,
+            message: "tiled segment input requires a leading batch dimension".into(),
+        })?;
+        match total_rows {
+            None => total_rows = Some(lead),
+            Some(rows) if rows == lead => {}
+            Some(rows) => {
+                return Err(GraphError::ShapeError {
+                    node: e,
+                    message: format!("segment inputs disagree on batch rows: {lead} vs {rows}"),
+                });
+            }
+        }
+    }
+    Ok(total_rows.unwrap_or(0))
+}
+
 /// A compiled execution plan over a borrowed [`Graph`].
 ///
 /// Create with [`Graph::compile`] (the `f32` reference backend) or
@@ -339,20 +367,37 @@ impl<'g> ExecPlan<'g> {
         interceptor: &mut dyn Interceptor,
     ) -> Result<(), GraphError> {
         values.reset(self.graph.len());
-        if let Some(timings) = self.timings.get() {
-            for &id in &self.order {
-                let node = self.graph.node(id)?;
-                let start = Instant::now();
-                self.backend.eval_node(node, values, feeds, interceptor)?;
-                let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                timings.node_nanos[id.index()].fetch_add(nanos, Ordering::Relaxed);
-            }
-            timings.passes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            for &id in &self.order {
-                let node = self.graph.node(id)?;
-                self.backend.eval_node(node, values, feeds, interceptor)?;
-            }
+        let timings = self.timings.get();
+        for &id in &self.order {
+            self.eval(id, values, feeds, interceptor, timings, None)?;
+        }
+        if let Some(t) = timings {
+            t.passes.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// Evaluates node `id` — on its current row group when `tile` is set, else on the
+    /// whole batch — adding its wall time to the node's slot when the plan is timing.
+    fn eval(
+        &self,
+        id: NodeId,
+        values: &mut Values,
+        feeds: &[(&str, Tensor)],
+        interceptor: &mut dyn Interceptor,
+        timings: Option<&PlanTimings>,
+        tile: Option<TileRows>,
+    ) -> Result<(), GraphError> {
+        let node = self.graph.node(id)?;
+        let start = timings.map(|_| Instant::now());
+        match tile {
+            Some(rows) => self
+                .backend
+                .eval_node_tile(node, values, feeds, interceptor, rows)?,
+            None => self.backend.eval_node(node, values, feeds, interceptor)?,
+        }
+        if let (Some(t), Some(start)) = (timings, start) {
+            t.node_nanos[id.index()].fetch_add(nanos_since(start), Ordering::Relaxed);
         }
         Ok(())
     }
@@ -492,8 +537,11 @@ impl<'g> ExecPlan<'g> {
     /// batch. Only nodes evaluated whole or materialized are readable afterwards;
     /// interior segment scratch is not.
     ///
-    /// `tile_rows` is clamped to `[1, batch rows]`; `tile_rows >= batch` degenerates to
-    /// one group per segment (still exercising the tile code path).
+    /// An untiled pass is one row group: a segment whose group covers its whole batch
+    /// (`tile_rows >= total rows`, e.g. `usize::MAX`) evaluates its nodes exactly as a
+    /// `Whole` step does — no slicing, no tile overlay, no materialization and no
+    /// `plan.tile.*` tally — so every node stays readable and the pass costs what
+    /// [`ExecPlan::run_into`] costs. A `tile_rows` of 0 counts as 1.
     ///
     /// # Errors
     ///
@@ -509,113 +557,69 @@ impl<'g> ExecPlan<'g> {
         tile_rows: usize,
     ) -> Result<(), GraphError> {
         values.reset(self.graph.len());
-        values.begin_tiles(self.graph.len());
         let timings = self.timings.get();
         let spec = self.backend.spec();
         let mut seg_count = 0u64;
         let mut rows_done = 0u64;
         let mut seg_nanos = 0u64;
+        let step_rows = tile_rows.max(1);
         for step in &schedule.steps {
-            match step {
+            let seg = match step {
                 TileStep::Whole(nodes) => {
                     for &id in nodes {
-                        let node = self.graph.node(id)?;
-                        if let Some(t) = timings {
-                            let start = Instant::now();
-                            self.backend.eval_node(node, values, feeds, interceptor)?;
-                            let nanos =
-                                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            t.node_nanos[id.index()].fetch_add(nanos, Ordering::Relaxed);
+                        self.eval(id, values, feeds, interceptor, timings, None)?;
+                    }
+                    continue;
+                }
+                TileStep::Segment(seg) => seg,
+            };
+            // An untiled pass (`usize::MAX`) covers any batch: skip counting its rows.
+            let total_rows = match step_rows {
+                usize::MAX => 0,
+                _ => segment_rows(seg, values)?,
+            };
+            if step_rows >= total_rows {
+                for &id in &seg.nodes {
+                    self.eval(id, values, feeds, interceptor, timings, None)?;
+                }
+                continue;
+            }
+            let seg_start = timings.map(|_| Instant::now());
+            values.begin_tiles(self.graph.len());
+            let mut row_start = 0usize;
+            while row_start < total_rows {
+                let rows = step_rows.min(total_rows - row_start);
+                let tr = TileRows {
+                    row_start,
+                    rows,
+                    total_rows,
+                };
+                for &e in &seg.externals {
+                    if spec.is_some() {
+                        values.slice_rows_to_tile_q(e, row_start, rows)?;
+                    } else {
+                        values.slice_rows_to_tile(e, row_start, rows)?;
+                    }
+                }
+                for &id in &seg.nodes {
+                    self.eval(id, values, feeds, interceptor, timings, Some(tr))?;
+                }
+                for (&id, &mat) in seg.nodes.iter().zip(&seg.materialize) {
+                    if mat {
+                        if spec.is_some() {
+                            values.materialize_tile_q(id, row_start == 0)?;
                         } else {
-                            self.backend.eval_node(node, values, feeds, interceptor)?;
+                            values.materialize_tile(id, row_start == 0)?;
                         }
                     }
                 }
-                TileStep::Segment(seg) => {
-                    let seg_start = timings.map(|_| Instant::now());
-                    // Every carrying external must agree on the batch row count.
-                    let mut total_rows: Option<usize> = None;
-                    for &e in &seg.externals {
-                        let dims = values.dims_of(e).ok_or(GraphError::UnknownNode(e))?;
-                        let lead = *dims.first().ok_or_else(|| GraphError::ShapeError {
-                            node: e,
-                            message: "tiled segment input requires a leading batch dimension"
-                                .into(),
-                        })?;
-                        match total_rows {
-                            None => total_rows = Some(lead),
-                            Some(rows) if rows == lead => {}
-                            Some(rows) => {
-                                return Err(GraphError::ShapeError {
-                                    node: e,
-                                    message: format!(
-                                        "segment inputs disagree on batch rows: {lead} vs {rows}"
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                    let total_rows = total_rows.unwrap_or(0);
-                    let step_rows = tile_rows.clamp(1, total_rows.max(1));
-                    let mut row_start = 0usize;
-                    while row_start < total_rows {
-                        let rows = step_rows.min(total_rows - row_start);
-                        let tr = TileRows {
-                            row_start,
-                            rows,
-                            total_rows,
-                        };
-                        for &e in &seg.externals {
-                            if spec.is_some() {
-                                values.slice_rows_to_tile_q(e, row_start, rows)?;
-                            } else {
-                                values.slice_rows_to_tile(e, row_start, rows)?;
-                            }
-                        }
-                        for &id in &seg.nodes {
-                            let node = self.graph.node(id)?;
-                            if let Some(t) = timings {
-                                let start = Instant::now();
-                                self.backend.eval_node_tile(
-                                    node,
-                                    values,
-                                    feeds,
-                                    interceptor,
-                                    tr,
-                                )?;
-                                let nanos =
-                                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                                t.node_nanos[id.index()].fetch_add(nanos, Ordering::Relaxed);
-                            } else {
-                                self.backend.eval_node_tile(
-                                    node,
-                                    values,
-                                    feeds,
-                                    interceptor,
-                                    tr,
-                                )?;
-                            }
-                        }
-                        for (&id, &mat) in seg.nodes.iter().zip(&seg.materialize) {
-                            if mat {
-                                if spec.is_some() {
-                                    values.materialize_tile_q(id, row_start == 0)?;
-                                } else {
-                                    values.materialize_tile(id, row_start == 0)?;
-                                }
-                            }
-                        }
-                        values.recycle_tiles();
-                        row_start += rows;
-                        rows_done += rows as u64;
-                    }
-                    seg_count += 1;
-                    if let Some(start) = seg_start {
-                        seg_nanos = seg_nanos.saturating_add(
-                            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                    }
-                }
+                values.recycle_tiles();
+                row_start += rows;
+                rows_done += rows as u64;
+            }
+            seg_count += 1;
+            if let Some(start) = seg_start {
+                seg_nanos = seg_nanos.saturating_add(nanos_since(start));
             }
         }
         if let Some(t) = timings {
@@ -1060,6 +1064,12 @@ mod tests {
             // An untiled pass through the same store restores full readability.
             plan.run_into(&mut values, &feeds, &mut NoopInterceptor)
                 .unwrap();
+            assert_eq!(values.get(relu).unwrap().dims(), &[4, 3, 6, 6]);
+            // One row group covering the batch is the untiled pass: the interior relu
+            // is evaluated whole and stays readable.
+            plan.run_tiled_into(&mut values, &feeds, &mut NoopInterceptor, &schedule, 4)
+                .unwrap();
+            assert_eq!(values.get(probs).unwrap().dims(), &[4, 4]);
             assert_eq!(values.get(relu).unwrap().dims(), &[4, 3, 6, 6]);
         }
     }

@@ -4,16 +4,16 @@
 //! passes of the same graph — so it executes through a compiled
 //! [`ExecPlan`]: the topological order is planned once per
 //! campaign instead of once per trial, and the plan's buffer arena makes repeated passes
-//! allocation-free. With [`CampaignConfig::batch`] above 1 the runner additionally
-//! amortizes fixed per-pass costs across trials: golden outputs for a whole chunk of
-//! inputs are computed in one `[N, ...]` forward pass, and each faulty pass executes
-//! `batch` trials at once with a per-row fault plan
-//! ([`BatchFaultInjector`]). With [`CampaignConfig::workers`] above 1 the faulty passes
-//! additionally run on a work-stealing [`ThreadPool`], one buffer arena per worker. With
-//! [`CampaignConfig::backend`] the whole campaign — golden passes included — executes on
-//! an alternative [`ExecBackend`](ranger_graph::ExecBackend): on the fixed16/fixed32
-//! backends the model genuinely computes in the Q format and faults flip bits directly
-//! in the stored integer words.
+//! allocation-free. Every pass is a batch: golden outputs for up to
+//! [`CampaignConfig::batch`] inputs are computed in one `[N, ...]` forward pass, and each
+//! faulty pass executes up to `batch` trials at once with a per-row fault plan
+//! ([`BatchFaultInjector`]), amortizing fixed per-pass costs across trials; `batch = 1`
+//! is a batch of one, the per-sample pass. With [`CampaignConfig::workers`] above 1 the
+//! faulty passes additionally run on a work-stealing [`ThreadPool`], one buffer arena
+//! per worker. With [`CampaignConfig::backend`] the whole campaign — golden passes
+//! included — executes on an alternative [`ExecBackend`](ranger_graph::ExecBackend): on
+//! the fixed16/fixed32 backends the model genuinely computes in the Q format and faults
+//! flip bits directly in the stored integer words.
 //!
 //! # Determinism
 //!
@@ -34,7 +34,7 @@ use crate::space::InjectionSpace;
 use crate::InjectionTarget;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ranger_graph::exec::{NoopInterceptor, Values};
+use ranger_graph::exec::{Interceptor, NoopInterceptor, Values};
 use ranger_graph::{
     default_backend, BackendKind, ExecPlan, GraphError, TiledSchedule, DEFAULT_TILE_BUDGET_BYTES,
 };
@@ -42,6 +42,7 @@ use ranger_runtime::{trial_stream_seed, ThreadPool};
 use ranger_tensor::stats::Proportion;
 use ranger_tensor::{DataType, Tensor};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -50,9 +51,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub struct CampaignConfig {
     /// Number of fault-injection trials per input.
     pub trials: usize,
-    /// How many trials (or golden inputs) to execute per batched forward pass. `1` runs
-    /// the reference per-sample path; larger values run the same trials in `[batch, ...]`
-    /// passes with bit-for-bit identical SDC counts.
+    /// How many trials (or golden inputs) to execute per forward pass. Every pass is a
+    /// batch: `1` is a batch of one (the per-sample pass, fed the input unreplicated);
+    /// larger values run the same trials in `[batch, ...]` passes with bit-for-bit
+    /// identical SDC counts.
     pub batch: usize,
     /// How many worker threads execute the faulty passes. `1` runs everything inline on
     /// the calling thread; larger values run trial chunks on a work-stealing pool with
@@ -70,15 +72,16 @@ pub struct CampaignConfig {
     pub fault: FaultModel,
     /// RNG seed so campaigns are reproducible.
     pub seed: u64,
-    /// How many trials of a batched pass execute per row group on the tiled scheduler.
-    /// `0` (the default) runs every batched pass untiled; `k` runs the tileable segments
-    /// of the plan over row groups of `k` trials each, so a segment's live activations
-    /// stay cache-sized instead of scaling with the whole batch; [`TILE_AUTO`] derives
-    /// the group size from the warmed plan's per-row footprint against
-    /// [`DEFAULT_TILE_BUDGET_BYTES`]. Tiling is a pure scheduling knob: every tile size
-    /// reports SDC counts bit-for-bit identical to the untiled batched pass (fault plans
-    /// stay keyed by `(input, trial)` index and the injector translates row-group
-    /// coordinates). Ignored on the per-sample path (`batch = 1`).
+    /// How many trials of a pass execute per row group on the tiled scheduler. `0` (the
+    /// default) makes the row group the whole batch — the untiled pass; `k` runs the
+    /// tileable segments of the plan over row groups of `k` trials each, so a segment's
+    /// live activations stay cache-sized instead of scaling with the whole batch;
+    /// [`TILE_AUTO`] derives the group size from the warmed plan's per-row footprint
+    /// against [`DEFAULT_TILE_BUDGET_BYTES`]. A pass of no more trials than one group
+    /// (every pass at `batch = 1`) is one group. Tiling is a pure scheduling knob: every
+    /// tile size reports SDC counts bit-for-bit identical to the untiled pass (fault
+    /// plans stay keyed by `(input, trial)` index and the injector translates row-group
+    /// coordinates).
     pub tile: usize,
 }
 
@@ -137,55 +140,8 @@ impl Default for CampaignConfig {
                 None => FaultModel::default(),
             },
             seed: 0,
-            tile: default_tile(),
+            tile: 0,
         }
-    }
-}
-
-/// The default row-group size for campaign configurations: the `RANGER_TILE` environment
-/// variable if set (an empty value counts as unset), otherwise `0` (untiled).
-///
-/// Accepts a trial count (`RANGER_TILE=4`) or `auto` ([`TILE_AUTO`]). Reading the
-/// environment here — once, at configuration-default time, never inside the executors —
-/// lets a CI job sweep an entire test suite through the tiled scheduler
-/// (`RANGER_TILE=4 cargo test`) without every call site growing a knob, mirroring
-/// `RANGER_BACKEND` and `RANGER_WORKERS`.
-///
-/// # Errors
-///
-/// Returns an error if `RANGER_TILE` is set to something that is neither a number nor
-/// `auto`. A misspelled sweep must fail loudly: silently falling back to untiled would
-/// run — and report timings for — the wrong scheduler.
-pub fn try_default_tile() -> Result<usize, String> {
-    match std::env::var("RANGER_TILE") {
-        Ok(value) if !value.is_empty() => {
-            if value.eq_ignore_ascii_case("auto") {
-                Ok(TILE_AUTO)
-            } else {
-                value.parse::<usize>().map_err(|_| {
-                    format!(
-                        "invalid RANGER_TILE '{value}': expected a trials-per-row-group \
-                         count (0 disables tiling) or 'auto'"
-                    )
-                })
-            }
-        }
-        _ => Ok(0),
-    }
-}
-
-/// [`try_default_tile`], panicking on a misconfigured `RANGER_TILE`.
-///
-/// Infallible call sites (configuration `Default` impls) use this; surfaces with an
-/// error channel (the CLI) use [`try_default_tile`] and report cleanly.
-///
-/// # Panics
-///
-/// Panics if `RANGER_TILE` is set to an unrecognised value.
-pub fn default_tile() -> usize {
-    match try_default_tile() {
-        Ok(tile) => tile,
-        Err(e) => panic!("{e}"),
     }
 }
 
@@ -466,11 +422,12 @@ impl ChunkTally {
 /// The canonical trials-per-work-unit for `config` (the partition [`run_campaign`] and
 /// [`PreparedCampaign::new`] use).
 ///
-/// With batching enabled every unit is exactly one batched forward pass. On the
-/// per-sample path the unit size only affects scheduling granularity (never the results,
-/// which are keyed by trial index): chunks are sized so each worker sees a handful of
-/// units — enough for stealing to rebalance stragglers without paying per-trial
-/// task overhead — and capped so campaigns with many trials still interleave inputs.
+/// With batching enabled every unit is exactly one batched forward pass. At `batch = 1`
+/// (passes of one trial) the unit size only affects scheduling granularity (never the
+/// results, which are keyed by trial index): chunks are sized so each worker sees a
+/// handful of units — enough for stealing to rebalance stragglers without paying
+/// per-trial task overhead — and capped so campaigns with many trials still interleave
+/// inputs.
 pub fn default_chunk_len(config: &CampaignConfig) -> usize {
     if config.batch > 1 {
         config.batch
@@ -573,15 +530,13 @@ pub struct PreparedCampaign<'a> {
     categories: Vec<String>,
     chunks: Vec<TrialChunk>,
     metrics: Option<CampaignMetrics>,
-    tiled: Option<TiledCampaign>,
-}
-
-/// The tiled-scheduler state of a prepared campaign: the segment schedule (computed once
-/// per campaign, not per pass) and the resolved row-group height every batched pass —
-/// golden and faulty — runs with.
-struct TiledCampaign {
+    /// The row-group schedule every pass — golden and faulty — runs under, computed
+    /// once per campaign, not per pass.
     schedule: TiledSchedule,
-    tile_rows: usize,
+    /// The row-group height in trials; `usize::MAX` (from `tile = 0`) is the whole batch.
+    tile_trials: usize,
+    /// The batch rows one trial (or one input) occupies in a pass.
+    rows_per_trial: usize,
 }
 
 /// Metric handles for the campaign hot path, resolved once at preparation time so
@@ -594,7 +549,7 @@ struct TiledCampaign {
 struct CampaignMetrics {
     /// Latency of each golden (fault-free) forward pass.
     golden_pass_nanos: std::sync::Arc<ranger_obs::Histogram>,
-    /// Latency of each faulty forward pass (one trial per-sample, one chunk batched).
+    /// Latency of each faulty forward pass (of up to `batch` trials).
     faulty_pass_nanos: std::sync::Arc<ranger_obs::Histogram>,
     /// Completion latency of each work unit, quantiles included.
     chunk_nanos: std::sync::Arc<ranger_obs::Histogram>,
@@ -679,76 +634,41 @@ impl<'a> PreparedCampaign<'a> {
         // allocation-free); that is per worker per campaign, not per chunk, and
         // disappears against any real trial count.
         let plan = target.graph.compile_with(config.backend.backend())?;
-        let categories = judge.categories();
-        let metrics = CampaignMetrics::resolve();
-        if inputs.is_empty() {
-            return Ok(PreparedCampaign {
-                target,
-                inputs,
-                judge,
-                config: *config,
-                plan,
-                goldens: Vec::new(),
-                spaces: Vec::new(),
-                categories,
-                chunks: Vec::new(),
-                metrics,
-                tiled: None,
-            });
+        if let Some(first) = inputs.first() {
+            plan.warm(&[(target.input_name, first.clone())])?;
         }
-        plan.warm(&[(target.input_name, inputs[0].clone())])?;
-        // Resolve the tiled schedule after warming: TILE_AUTO sizes row groups from the
-        // warmed per-node shapes, and a plan with no tileable segment (everything behind
-        // a barrier) simply stays untiled. Tiling only reshapes batched passes, so the
-        // per-sample path ignores the knob entirely.
-        let tiled = if config.batch > 1 && config.tile != 0 {
-            let schedule = plan.tiled_schedule(&[target.output]);
-            if schedule.segments() == 0 {
-                None
-            } else {
-                let rows_per_trial = inputs[0].batch_rows().max(1);
-                let tile_trials = if config.tile == TILE_AUTO {
-                    (plan.derive_tile_rows(&schedule, DEFAULT_TILE_BUDGET_BYTES) / rows_per_trial)
-                        .max(1)
-                } else {
-                    config.tile
-                };
-                Some(TiledCampaign {
-                    schedule,
-                    tile_rows: tile_trials.saturating_mul(rows_per_trial),
-                })
-            }
-        } else {
-            None
+        // Resolve the row-group height after warming: TILE_AUTO sizes row groups from
+        // the warmed per-node shapes.
+        let schedule = plan.tiled_schedule(&[target.output]);
+        let rows_per_trial = inputs.first().map_or(1, |input| input.batch_rows().max(1));
+        let tile_trials = match config.tile {
+            0 => usize::MAX,
+            TILE_AUTO => (plan.derive_tile_rows(&schedule, DEFAULT_TILE_BUDGET_BYTES)
+                / rows_per_trial)
+                .max(1),
+            tile => tile,
         };
-        let mut values = plan.buffers();
-        let goldens = golden_outputs(
-            &plan,
-            &mut values,
-            target,
-            inputs,
-            config,
-            metrics.as_ref(),
-            tiled.as_ref(),
-        )?;
-        let spaces: Vec<InjectionSpace> = inputs
-            .iter()
-            .map(|input| InjectionSpace::build_on(&plan, target, input))
-            .collect::<Result<_, _>>()?;
-        let chunks = campaign_chunks(config, inputs.len(), chunk_len);
-        Ok(PreparedCampaign {
+        let mut prepared = PreparedCampaign {
             target,
             inputs,
             judge,
             config: *config,
             plan,
-            goldens,
-            spaces,
-            categories,
-            chunks,
-            metrics,
-            tiled,
-        })
+            goldens: Vec::new(),
+            spaces: Vec::new(),
+            categories: judge.categories(),
+            chunks: campaign_chunks(config, inputs.len(), chunk_len),
+            metrics: CampaignMetrics::resolve(),
+            schedule,
+            tile_trials,
+            rows_per_trial,
+        };
+        prepared.goldens = prepared.golden_outputs()?;
+        prepared.spaces = inputs
+            .iter()
+            .map(|input| InjectionSpace::build_on(&prepared.plan, target, input))
+            .collect::<Result<_, _>>()?;
+        Ok(prepared)
     }
 
     /// The campaign's work units in canonical order.
@@ -814,50 +734,41 @@ impl<'a> PreparedCampaign<'a> {
         // recorded values are never read back by campaign logic.
         let _chunk_span = self.metrics.as_ref().map(|m| m.chunk_nanos.span());
         let mut tally = ChunkTally::new(self.categories.len());
-        if config.batch <= 1 {
-            // Per-sample path: one forward pass per trial.
-            let feeds = [(self.target.input_name, input.clone())];
-            for trial in unit.start..unit.start + unit.len {
-                let mut rng = trial_rng(config.seed, unit.input, trial);
-                let mut injector = FaultInjector::plan_random(config.fault, space, &mut rng);
-                let pass_span = self.metrics.as_ref().map(|m| m.faulty_pass_nanos.span());
-                self.plan.run_into(values, &feeds, &mut injector)?;
-                drop(pass_span);
-                let faulty = values.get(self.target.output)?;
-                tally.record(self.judge, golden, faulty, injector.fully_injected());
-            }
-        } else {
-            // Batched path: the whole chunk in one [len, ...] pass, one plan per row group.
-            let plans: Vec<FaultInjector> = (unit.start..unit.start + unit.len)
+        let end = unit.start + unit.len;
+        let rows = input.batch_rows();
+        // Built once per pass height (at most twice per chunk: full passes, then a
+        // short tail), not once per pass.
+        let mut feeds = [(self.target.input_name, Tensor::empty())];
+        let mut feed_trials = 0;
+        for first in (unit.start..end).step_by(config.batch) {
+            let plans: Vec<FaultInjector> = (first..end.min(first + config.batch))
                 .map(|trial| {
                     let mut rng = trial_rng(config.seed, unit.input, trial);
                     FaultInjector::plan_random(config.fault, space, &mut rng)
                 })
                 .collect();
-            let feed = input.repeat_batch(plans.len()).map_err(|e| {
-                CampaignError::InvalidConfig(format!("campaign input cannot be batched: {e}"))
-            })?;
-            let rows_per_trial = input.batch_rows();
-            let mut injector = BatchFaultInjector::new(plans, space);
-            let feeds = [(self.target.input_name, feed)];
-            let pass_span = self.metrics.as_ref().map(|m| m.faulty_pass_nanos.span());
-            match &self.tiled {
-                Some(tiled) => self.plan.run_tiled_into(
-                    values,
-                    &feeds,
-                    &mut injector,
-                    &tiled.schedule,
-                    tiled.tile_rows,
-                )?,
-                None => self.plan.run_into(values, &feeds, &mut injector)?,
+            let trials = plans.len();
+            if trials != feed_trials {
+                feed_trials = trials;
+                feeds[0].1 = if trials == 1 {
+                    input.clone()
+                } else {
+                    input.repeat_batch(trials).map_err(|e| {
+                        CampaignError::InvalidConfig(format!(
+                            "campaign input cannot be batched: {e}"
+                        ))
+                    })?
+                };
             }
-            drop(pass_span);
+            let mut injector = BatchFaultInjector::new(plans, space);
+            let timer = self.metrics.as_ref().map(|m| &*m.faulty_pass_nanos);
+            self.pass(values, &feeds, trials, &mut injector, timer)?;
             if let Some(violation) = injector.violation() {
                 return Err(CampaignError::InvalidConfig(violation.to_string()));
             }
             let output = values.get(self.target.output)?;
             for (t, trial) in injector.trials().iter().enumerate() {
-                let faulty = slice_row_group(output, t * rows_per_trial, rows_per_trial)?;
+                let faulty = row_group(output, t * rows, rows, trials)?;
                 tally.record(self.judge, golden, &faulty, trial.fully_injected());
             }
         }
@@ -942,62 +853,78 @@ impl<'a> PreparedCampaign<'a> {
     pub fn publish_metrics(&self) {
         self.plan.publish_timings();
     }
-}
 
-/// Computes the fault-free output of every input: one pass per input on the per-sample
-/// path, or one `[N, ...]` pass per input-chunk when batching is enabled.
-fn golden_outputs(
-    plan: &ExecPlan<'_>,
-    values: &mut Values,
-    target: &InjectionTarget<'_>,
-    inputs: &[Tensor],
-    config: &CampaignConfig,
-    metrics: Option<&CampaignMetrics>,
-    tiled: Option<&TiledCampaign>,
-) -> Result<Vec<Tensor>, CampaignError> {
-    let mut goldens: Vec<Tensor> = Vec::with_capacity(inputs.len());
-    if config.batch <= 1 {
-        for input in inputs {
-            let feeds = [(target.input_name, input.clone())];
-            let span = metrics.map(|m| m.golden_pass_nanos.span());
-            plan.run_into(values, &feeds, &mut NoopInterceptor)?;
-            drop(span);
-            goldens.push(values.get(target.output)?.clone());
-        }
-        return Ok(goldens);
+    /// Runs one campaign pass — `trials` trials (or golden inputs) stacked in the input
+    /// feed — under the campaign's row-group schedule, timed into `timer`. This is the
+    /// only place a campaign executes its plan.
+    fn pass(
+        &self,
+        values: &mut Values,
+        feeds: &[(&str, Tensor)],
+        trials: usize,
+        interceptor: &mut dyn Interceptor,
+        timer: Option<&ranger_obs::Histogram>,
+    ) -> Result<(), CampaignError> {
+        // A pass of no more trials than one row group is one group, which the plan
+        // evaluates unsliced.
+        let tile_rows = if trials <= self.tile_trials {
+            usize::MAX
+        } else {
+            self.tile_trials * self.rows_per_trial
+        };
+        let _span = timer.map(|t| t.span());
+        self.plan
+            .run_tiled_into(values, feeds, interceptor, &self.schedule, tile_rows)?;
+        Ok(())
     }
-    for chunk in inputs.chunks(config.batch) {
-        let stacked = Tensor::stack_batch(chunk).map_err(|e| {
-            CampaignError::InvalidConfig(format!("campaign inputs cannot be batched: {e}"))
-        })?;
-        let feeds = [(target.input_name, stacked)];
-        let span = metrics.map(|m| m.golden_pass_nanos.span());
-        match tiled {
-            Some(tiled) => plan.run_tiled_into(
-                values,
+
+    /// Computes the fault-free output of every input, in passes of up to `batch`
+    /// inputs.
+    fn golden_outputs(&self) -> Result<Vec<Tensor>, CampaignError> {
+        let mut values = self.buffers();
+        let mut goldens: Vec<Tensor> = Vec::with_capacity(self.inputs.len());
+        for group in self.inputs.chunks(self.config.batch) {
+            let feed = match group {
+                [input] => input.clone(),
+                _ => Tensor::stack_batch(group).map_err(|e| {
+                    CampaignError::InvalidConfig(format!("campaign inputs cannot be batched: {e}"))
+                })?,
+            };
+            let timer = self.metrics.as_ref().map(|m| &*m.golden_pass_nanos);
+            let feeds = [(self.target.input_name, feed)];
+            self.pass(
+                &mut values,
                 &feeds,
+                group.len(),
                 &mut NoopInterceptor,
-                &tiled.schedule,
-                tiled.tile_rows,
-            )?,
-            None => plan.run_into(values, &feeds, &mut NoopInterceptor)?,
+                timer,
+            )?;
+            let output = values.get(self.target.output)?;
+            let mut row = 0usize;
+            for input in group {
+                let rows = input.batch_rows();
+                goldens.push(row_group(output, row, rows, group.len())?.into_owned());
+                row += rows;
+            }
         }
-        drop(span);
-        let output = values.get(target.output)?;
-        let mut row = 0usize;
-        for input in chunk {
-            let rows = input.batch_rows();
-            goldens.push(slice_row_group(output, row, rows)?);
-            row += rows;
-        }
+        Ok(goldens)
     }
-    Ok(goldens)
 }
 
-/// Extracts rows `[start, start + rows)` of a batched output as its own tensor — the
-/// value the same forward pass would have produced for that input (or trial) alone.
-fn slice_row_group(output: &Tensor, start: usize, rows: usize) -> Result<Tensor, CampaignError> {
-    output.slice_rows(start, rows).map_err(|_| {
+/// Rows `[start, start + rows)` of the output of a pass over `groups` trials (or
+/// inputs): the value the same forward pass would have produced for that one alone. A
+/// pass of one is judged whole, unsliced, so a graph whose output carries no batch
+/// dimension still runs at `batch = 1`.
+fn row_group(
+    output: &Tensor,
+    start: usize,
+    rows: usize,
+    groups: usize,
+) -> Result<Cow<'_, Tensor>, CampaignError> {
+    if groups == 1 {
+        return Ok(Cow::Borrowed(output));
+    }
+    output.slice_rows(start, rows).map(Cow::Owned).map_err(|_| {
         CampaignError::InvalidConfig(format!(
             "campaign output of shape {:?} does not carry the leading batch dimension \
              (needed rows [{start}, {})) — run this campaign with batch = 1",
@@ -1213,7 +1140,7 @@ mod tests {
         // A large constant-fed Identity dominates the injection space, so the seeded
         // plans are certain to target it within a handful of trials.
         let c = g.add_const("c", Tensor::ones(vec![50]), false);
-        let _frozen = g.add_node("frozen", Op::Identity, vec![c]);
+        let frozen = g.add_node("frozen", Op::Identity, vec![c]);
         let y = g.add_node("double", Op::ScalarMul { factor: 2.0 }, vec![x]);
         let target = InjectionTarget {
             graph: &g,
@@ -1234,6 +1161,44 @@ mod tests {
         run_campaign(&target, &inputs, &judge, &config(1)).unwrap();
         // The batched path refuses with a descriptive error.
         let err = run_campaign(&target, &inputs, &judge, &config(4)).unwrap_err();
+        assert!(
+            err.to_string().contains("batch dimension"),
+            "unexpected error: {err}"
+        );
+
+        // Judging the frozen node itself — an output of shape [50] with no batch
+        // dimension: a batch of one judges it whole and matches a per-pass Executor
+        // reference; a batch of four is still refused.
+        let frozen_target = InjectionTarget {
+            output: frozen,
+            ..target
+        };
+        let config = |batch| CampaignConfig {
+            backend: BackendKind::F32,
+            fault: FaultModel::single_bit_fixed32(),
+            ..config(batch)
+        };
+        let result = run_campaign(&frozen_target, &inputs, &judge, &config(1)).unwrap();
+        let exec = Executor::new(&g);
+        let feeds = [("x", inputs[0].clone())];
+        let golden = exec.run_simple(&feeds, frozen).unwrap();
+        assert_eq!(golden.dims(), &[50]);
+        let space = InjectionSpace::build(&frozen_target, &inputs[0]).unwrap();
+        let mut counts = vec![0u64; 1];
+        let mut unactivated = 0u64;
+        for t in 0..20 {
+            let mut rng = trial_rng(4, 0, t);
+            let mut injector = FaultInjector::plan_random(config(1).fault, &space, &mut rng);
+            let faulty = exec.run_with(&feeds, frozen, &mut injector).unwrap();
+            unactivated += u64::from(!injector.fully_injected());
+            for (count, sdc) in counts.iter_mut().zip(judge.judge(&golden, &faulty)) {
+                *count += u64::from(sdc);
+            }
+        }
+        assert_eq!(result.trials, 20);
+        assert_eq!(result.sdc_counts, counts);
+        assert_eq!(result.unactivated, unactivated);
+        let err = run_campaign(&frozen_target, &inputs, &judge, &config(4)).unwrap_err();
         assert!(
             err.to_string().contains("batch dimension"),
             "unexpected error: {err}"
@@ -1315,30 +1280,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(legacy.tile, 0);
-    }
-
-    /// The `RANGER_TILE` audit (mirroring `RANGER_BACKEND`): junk must be rejected
-    /// loudly, never silently fall back to untiled. The inject test binary has no other
-    /// reader of `RANGER_TILE`, so the temporary mutation cannot race another test; the
-    /// sweep value is restored on exit.
-    #[test]
-    fn misconfigured_ranger_tile_is_rejected_not_defaulted() {
-        let original = std::env::var("RANGER_TILE").ok();
-        std::env::set_var("RANGER_TILE", "sometimes");
-        let err = try_default_tile().unwrap_err();
-        assert!(err.contains("RANGER_TILE"), "{err}");
-        assert!(err.contains("auto"), "{err}");
-        std::env::set_var("RANGER_TILE", "4");
-        assert_eq!(try_default_tile(), Ok(4));
-        std::env::set_var("RANGER_TILE", "auto");
-        assert_eq!(try_default_tile(), Ok(TILE_AUTO));
-        std::env::set_var("RANGER_TILE", "");
-        assert_eq!(try_default_tile(), Ok(0));
-        std::env::remove_var("RANGER_TILE");
-        assert_eq!(try_default_tile(), Ok(0));
-        if let Some(value) = original {
-            std::env::set_var("RANGER_TILE", value);
-        }
     }
 
     /// The tiled-scheduler acceptance at the campaign level: every tile size — including

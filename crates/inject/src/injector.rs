@@ -73,85 +73,112 @@ impl FaultInjector {
     pub fn targeted_nodes(&self) -> Vec<NodeId> {
         self.plan.iter().map(|f| f.site.node).collect()
     }
+
+    /// Applies this plan's flips at `node` to the row window `rows` of its output.
+    fn inject(&mut self, node: &Node, output: &mut impl FlipTarget, rows: TileRows) {
+        for flip in &self.plan {
+            if flip.site.node == node.id
+                && flip_in_window(output, rows, flip.site.element, self.fault, flip.bit)
+            {
+                self.injected.push(*flip);
+            }
+        }
+    }
+}
+
+/// The row window of an untiled hook: the output is the whole batch.
+const WHOLE: TileRows = TileRows {
+    row_start: 0,
+    rows: 1,
+    total_rows: 1,
+};
+
+/// An operator output a planned flip can land in: `f32` values or fixed-point words.
+trait FlipTarget {
+    fn len(&self) -> usize;
+    /// Flips `bit` of element `index` as `fault` prescribes.
+    fn flip(&mut self, index: usize, fault: FaultModel, bit: u32);
+}
+
+impl FlipTarget for Tensor {
+    fn len(&self) -> usize {
+        Tensor::len(self)
+    }
+
+    fn flip(&mut self, index: usize, fault: FaultModel, bit: u32) {
+        let corrupted = fault.datatype.flip_bit(self.data()[index], bit);
+        self.data_mut()[index] = corrupted;
+    }
+}
+
+/// The datatype rule of `FaultInjector::after_op_words`: a matching word format flips
+/// the stored word, anything else round-trips through `f32`.
+impl FlipTarget for QTensor {
+    fn len(&self) -> usize {
+        QTensor::len(self)
+    }
+
+    fn flip(&mut self, index: usize, fault: FaultModel, bit: u32) {
+        if fault.datatype == DataType::Fixed(self.spec()) {
+            self.flip_word(index, bit);
+        } else {
+            let corrupted = fault.datatype.flip_bit(self.get_f32(index), bit);
+            self.set_from_f32(index, corrupted);
+        }
+    }
+}
+
+/// The number of elements of the whole-batch output that `output` holds the row window
+/// `rows` of.
+fn whole_len(output: &impl FlipTarget, rows: TileRows) -> usize {
+    output.len() / rows.rows.max(1) * rows.total_rows
+}
+
+/// The one flip routine behind every injector hook: flips `bit` of element `global` of
+/// a whole-batch output, of which `output` holds the row window `rows`. Returns whether
+/// the element lies inside the window (and so was flipped). Row groups partition the
+/// batch, so across the groups of one pass every in-range element is flipped exactly
+/// once, wherever the group boundaries fall.
+fn flip_in_window(
+    output: &mut impl FlipTarget,
+    rows: TileRows,
+    global: usize,
+    fault: FaultModel,
+    bit: u32,
+) -> bool {
+    let base = rows.row_start * (output.len() / rows.rows.max(1));
+    let inside = global < whole_len(output, rows) && (base..base + output.len()).contains(&global);
+    if inside {
+        output.flip(global - base, fault, bit);
+    }
+    inside
 }
 
 impl Interceptor for FaultInjector {
     fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        for flip in &self.plan {
-            if flip.site.node == node.id && flip.site.element < output.len() {
-                let value = output.data()[flip.site.element];
-                let corrupted = self.fault.datatype.flip_bit(value, flip.bit);
-                output.data_mut()[flip.site.element] = corrupted;
-                self.injected.push(*flip);
-            }
-        }
+        self.inject(node, output, WHOLE);
     }
 
-    /// On a fixed-point backend whose word format matches the fault model's datatype, the
-    /// planned bits flip **directly in the stored integer words** — no
-    /// encode → flip → decode round trip, so the corruption is exact even for magnitudes
-    /// `f32` cannot represent. A mismatched datatype (only reachable through hand-built
-    /// configurations; campaigns reject the pairing up front) falls back to flipping the
-    /// dequantized value under the fault's own datatype and requantizing.
+    /// On a fixed-point backend whose word format matches the fault model's datatype,
+    /// the planned bits flip **directly in the stored integer words** — no
+    /// encode → flip → decode round trip, so the corruption is exact even for
+    /// magnitudes `f32` cannot represent. A mismatched datatype (only reachable through
+    /// hand-built configurations; campaigns reject the pairing up front) falls back to
+    /// flipping the dequantized value under the fault's own datatype and requantizing.
     fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
-        for flip in &self.plan {
-            if flip.site.node == node.id && flip.site.element < output.len() {
-                if self.fault.datatype == DataType::Fixed(output.spec()) {
-                    output.flip_word(flip.site.element, flip.bit);
-                } else {
-                    let value = output.get_f32(flip.site.element);
-                    let corrupted = self.fault.datatype.flip_bit(value, flip.bit);
-                    output.set_from_f32(flip.site.element, corrupted);
-                }
-                self.injected.push(*flip);
-            }
-        }
+        self.inject(node, output, WHOLE);
     }
 
-    /// Tiled twin of `after_op`: the plan's element coordinates address the **full**
-    /// batched output, so each flip lands in exactly the row group that owns its
-    /// element — whatever the tile size, every planned element is flipped exactly once
-    /// per pass, which is what pins tiled and untiled passes bit-for-bit.
+    /// The plan's element coordinates address the **full** batched output, so each flip
+    /// lands in exactly the row group that owns its element — whatever the tile size,
+    /// every planned element is flipped exactly once per pass, which is what pins tiled
+    /// and untiled passes bit-for-bit.
     fn after_op_tile(&mut self, node: &Node, output: &mut Tensor, rows: TileRows) {
-        let per_row = output.len() / rows.rows.max(1);
-        let base = rows.row_start * per_row;
-        let full_len = per_row * rows.total_rows;
-        for flip in &self.plan {
-            if flip.site.node == node.id
-                && flip.site.element < full_len
-                && (base..base + output.len()).contains(&flip.site.element)
-            {
-                let local = flip.site.element - base;
-                let value = output.data()[local];
-                let corrupted = self.fault.datatype.flip_bit(value, flip.bit);
-                output.data_mut()[local] = corrupted;
-                self.injected.push(*flip);
-            }
-        }
+        self.inject(node, output, rows);
     }
 
-    /// Word-level twin of [`FaultInjector::after_op_tile`], with the datatype rule of
-    /// [`FaultInjector::after_op_words`].
     fn after_op_words_tile(&mut self, node: &Node, output: &mut QTensor, rows: TileRows) {
-        let per_row = output.len() / rows.rows.max(1);
-        let base = rows.row_start * per_row;
-        let full_len = per_row * rows.total_rows;
-        for flip in &self.plan {
-            if flip.site.node == node.id
-                && flip.site.element < full_len
-                && (base..base + output.len()).contains(&flip.site.element)
-            {
-                let local = flip.site.element - base;
-                if self.fault.datatype == DataType::Fixed(output.spec()) {
-                    output.flip_word(local, flip.bit);
-                } else {
-                    let value = output.get_f32(local);
-                    let corrupted = self.fault.datatype.flip_bit(value, flip.bit);
-                    output.set_from_f32(local, corrupted);
-                }
-                self.injected.push(*flip);
-            }
-        }
+        self.inject(node, output, rows);
     }
 }
 
@@ -163,7 +190,9 @@ impl Interceptor for FaultInjector {
 /// `[t * rows_per_trial, (t + 1) * rows_per_trial)` of every operator output. Because the
 /// operators process batch rows independently, flipping a bit inside trial `t`'s rows
 /// corrupts exactly the values the same plan would corrupt in a single-sample pass — the
-/// per-trial outputs (and therefore the SDC counts) are bit-for-bit identical.
+/// per-trial outputs (and therefore the SDC counts) are bit-for-bit identical. A
+/// one-trial injector over the unreplicated input is the per-sample pass: campaigns at
+/// `batch = 1` run every trial through one.
 ///
 /// The equivalence requires the targeted operator's output to carry the batch dimension.
 /// The injector checks each targeted output against the single-sample size recorded in
@@ -172,9 +201,9 @@ impl Interceptor for FaultInjector {
 /// instead [`BatchFaultInjector::violation`] reports it after the pass, and the campaign
 /// runner turns that into an error.
 #[derive(Debug, Clone)]
-pub struct BatchFaultInjector {
+pub struct BatchFaultInjector<'s> {
     trials: Vec<FaultInjector>,
-    space: InjectionSpace,
+    space: &'s InjectionSpace,
     violation: Option<String>,
     /// Every trial's planned flips as `(node index, trial, plan index)`, sorted by
     /// node. The interceptor hooks fire once per operator — and once per (operator,
@@ -187,7 +216,7 @@ pub struct BatchFaultInjector {
     flips_by_node: Vec<(usize, usize, usize)>,
 }
 
-impl BatchFaultInjector {
+impl<'s> BatchFaultInjector<'s> {
     /// Creates a batched injector applying `trials[t]` to row group `t`. `space` is the
     /// injection space the trial plans were drawn from; it provides each operator's
     /// single-sample output size.
@@ -195,7 +224,7 @@ impl BatchFaultInjector {
     /// # Panics
     ///
     /// Panics if `trials` is empty.
-    pub fn new(trials: Vec<FaultInjector>, space: &InjectionSpace) -> Self {
+    pub fn new(trials: Vec<FaultInjector>, space: &'s InjectionSpace) -> Self {
         assert!(
             !trials.is_empty(),
             "a batched injector needs at least one trial"
@@ -214,7 +243,7 @@ impl BatchFaultInjector {
         flips_by_node.sort_unstable();
         BatchFaultInjector {
             trials,
-            space: space.clone(),
+            space,
             violation: None,
             flips_by_node,
         }
@@ -239,9 +268,7 @@ impl BatchFaultInjector {
     pub fn violation(&self) -> Option<&str> {
         self.violation.as_deref()
     }
-}
 
-impl BatchFaultInjector {
     /// Validates that `node`'s batched output scales with the trial count and returns the
     /// per-trial slice length; records the violation (once) and returns `None` otherwise.
     fn checked_per_trial(&mut self, node: &Node, output_len: usize) -> Option<usize> {
@@ -263,115 +290,57 @@ impl BatchFaultInjector {
         }
         Some(per_trial)
     }
+
+    /// Applies every trial's flips at `node` to the row window `rows` of its output.
+    /// The per-trial slice length is the operator's single-sample output size, as
+    /// recorded in the injection space the plans were sampled from (for hand-built
+    /// plans targeting nodes outside the space, the even split is the only guess).
+    fn inject(&mut self, node: &Node, output: &mut impl FlipTarget, rows: TileRows) {
+        let full_len = whole_len(output, rows);
+        for k in self.flips_of(node.id) {
+            let (_, t, f) = self.flips_by_node[k];
+            let flip = self.trials[t].plan[f];
+            let Some(per_trial) = self.checked_per_trial(node, full_len) else {
+                continue;
+            };
+            let injector = &mut self.trials[t];
+            if flip.site.element < per_trial
+                && flip_in_window(
+                    output,
+                    rows,
+                    t * per_trial + flip.site.element,
+                    injector.fault,
+                    flip.bit,
+                )
+            {
+                injector.injected.push(flip);
+            }
+        }
+    }
 }
 
-impl Interceptor for BatchFaultInjector {
+impl Interceptor for BatchFaultInjector<'_> {
     fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        // The per-trial slice length is the operator's single-sample output size, as
-        // recorded in the injection space the plans were sampled from (for hand-built
-        // plans targeting nodes outside the space, the even split is the only guess).
-        for k in self.flips_of(node.id) {
-            let (_, t, f) = self.flips_by_node[k];
-            let flip = self.trials[t].plan[f];
-            let Some(per_trial) = self.checked_per_trial(node, output.len()) else {
-                continue;
-            };
-            if flip.site.element < per_trial {
-                let index = t * per_trial + flip.site.element;
-                let injector = &mut self.trials[t];
-                let value = output.data()[index];
-                let corrupted = injector.fault.datatype.flip_bit(value, flip.bit);
-                output.data_mut()[index] = corrupted;
-                injector.injected.push(flip);
-            }
-        }
+        self.inject(node, output, WHOLE);
     }
 
-    /// The word-level twin of the batched `after_op`: each trial's planned bits flip
-    /// directly in its own row group of the stored integer words (see
-    /// [`FaultInjector::after_op_words`] for the datatype rule), with the same
-    /// batch-scaling violation check.
+    /// Each trial's planned bits flip directly in its own row group of the stored
+    /// integer words (see [`FaultInjector::after_op_words`] for the datatype rule), with
+    /// the same batch-scaling violation check.
     fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
-        for k in self.flips_of(node.id) {
-            let (_, t, f) = self.flips_by_node[k];
-            let flip = self.trials[t].plan[f];
-            let Some(per_trial) = self.checked_per_trial(node, output.len()) else {
-                continue;
-            };
-            if flip.site.element < per_trial {
-                let index = t * per_trial + flip.site.element;
-                let injector = &mut self.trials[t];
-                if injector.fault.datatype == DataType::Fixed(output.spec()) {
-                    output.flip_word(index, flip.bit);
-                } else {
-                    let value = output.get_f32(index);
-                    let corrupted = injector.fault.datatype.flip_bit(value, flip.bit);
-                    output.set_from_f32(index, corrupted);
-                }
-                injector.injected.push(flip);
-            }
-        }
+        self.inject(node, output, WHOLE);
     }
 
-    /// Tiled twin of the batched `after_op`. Trial `t` owns elements
-    /// `[t * per_trial, (t + 1) * per_trial)` of the **full** batched output; a row
-    /// group covers the contiguous element range `[base, base + tile len)`. A planned
-    /// flip fires iff its global index falls inside the current group — row groups
-    /// partition the batch, so across the groups of one pass every flip fires exactly
-    /// once, at the same element the untiled pass would corrupt. No alignment between
-    /// tile boundaries and trial boundaries is required.
+    /// Trial `t` owns elements `[t * per_trial, (t + 1) * per_trial)` of the **full**
+    /// batched output; a row group covers a contiguous element range of it, and a
+    /// planned flip fires iff its global index falls inside the current group. No
+    /// alignment between tile boundaries and trial boundaries is required.
     fn after_op_tile(&mut self, node: &Node, output: &mut Tensor, rows: TileRows) {
-        let per_row = output.len() / rows.rows.max(1);
-        let base = rows.row_start * per_row;
-        let full_len = per_row * rows.total_rows;
-        for k in self.flips_of(node.id) {
-            let (_, t, f) = self.flips_by_node[k];
-            let flip = self.trials[t].plan[f];
-            let Some(per_trial) = self.checked_per_trial(node, full_len) else {
-                continue;
-            };
-            if flip.site.element < per_trial {
-                let global = t * per_trial + flip.site.element;
-                if (base..base + output.len()).contains(&global) {
-                    let local = global - base;
-                    let injector = &mut self.trials[t];
-                    let value = output.data()[local];
-                    let corrupted = injector.fault.datatype.flip_bit(value, flip.bit);
-                    output.data_mut()[local] = corrupted;
-                    injector.injected.push(flip);
-                }
-            }
-        }
+        self.inject(node, output, rows);
     }
 
-    /// Word-level twin of [`BatchFaultInjector::after_op_tile`], with the datatype rule
-    /// of [`FaultInjector::after_op_words`].
     fn after_op_words_tile(&mut self, node: &Node, output: &mut QTensor, rows: TileRows) {
-        let per_row = output.len() / rows.rows.max(1);
-        let base = rows.row_start * per_row;
-        let full_len = per_row * rows.total_rows;
-        for k in self.flips_of(node.id) {
-            let (_, t, f) = self.flips_by_node[k];
-            let flip = self.trials[t].plan[f];
-            let Some(per_trial) = self.checked_per_trial(node, full_len) else {
-                continue;
-            };
-            if flip.site.element < per_trial {
-                let global = t * per_trial + flip.site.element;
-                if (base..base + output.len()).contains(&global) {
-                    let local = global - base;
-                    let injector = &mut self.trials[t];
-                    if injector.fault.datatype == DataType::Fixed(output.spec()) {
-                        output.flip_word(local, flip.bit);
-                    } else {
-                        let value = output.get_f32(local);
-                        let corrupted = injector.fault.datatype.flip_bit(value, flip.bit);
-                        output.set_from_f32(local, corrupted);
-                    }
-                    injector.injected.push(flip);
-                }
-            }
-        }
+        self.inject(node, output, rows);
     }
 }
 

@@ -256,9 +256,9 @@ fn parallel_campaign_grid_matches_serial_on_zoo_models() {
 /// The row-group scheduler acceptance grid on real zoo architectures: on a convolutional
 /// classifier (LeNet) and a steering regressor (Comma), across the f32, SIMD and fixed16
 /// backends, every (tile × workers × batch) combination — one trial per group, a
-/// non-divisor, the whole batch, and the auto-derived size — reports the untiled batched
-/// counts bit-for-bit. Tiling is pure scheduling: the same faults land on the same
-/// elements whatever the row-group height.
+/// non-divisor, the whole batch, the auto-derived size, and the per-sample batch of one —
+/// reports the untiled batched counts bit-for-bit. Tiling is pure scheduling: the same
+/// faults land on the same elements whatever the row-group height.
 #[test]
 fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
     for kind in [ModelKind::LeNet, ModelKind::Comma] {
@@ -301,6 +301,10 @@ fn tiled_campaign_grid_matches_untiled_on_zoo_models() {
             }
             // A batch wider than the trial count still partitions into the same groups.
             grid.push(config(64, 4, 4));
+            // The per-sample pass is a batch of one: untiled, and with a tile wider
+            // than its single trial.
+            grid.push(config(1, 1, 0));
+            grid.push(config(1, 4, 4));
             for candidate in grid {
                 let run = ranger_inject::run_campaign(&target, &inputs, judge.as_ref(), &candidate)
                     .unwrap();
