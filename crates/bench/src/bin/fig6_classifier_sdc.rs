@@ -17,7 +17,7 @@ struct Row {
     category: String,
     original_sdc_percent: f64,
     ranger_sdc_percent: f64,
-    confidence95_percent: f64,
+    confidence95_percent: (f64, f64),
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,7 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 r.category.clone(),
                 format!("{:.2}%", r.original_sdc_percent),
                 format!("{:.2}%", r.ranger_sdc_percent),
-                format!("±{:.2}%", r.confidence95_percent),
+                format!(
+                    "[{:.2}, {:.2}]%",
+                    r.confidence95_percent.0, r.confidence95_percent.1
+                ),
             ]
         })
         .collect();

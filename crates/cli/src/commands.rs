@@ -260,10 +260,10 @@ pub fn inject(options: &Options) -> Result<String, CliError> {
         config.fault
     )];
     for (category, rate) in result.rates() {
+        let (lo, hi) = rate.confidence95_percent();
         lines.push(format!(
-            "  {category:<14} SDC rate {:6.2}%  (±{:.2}%)",
-            rate.rate_percent(),
-            rate.confidence95_percent()
+            "  {category:<14} SDC rate {:6.2}%  [{lo:.2}, {hi:.2}]%",
+            rate.rate_percent()
         ));
     }
     if let Some(path) = &metrics_json {

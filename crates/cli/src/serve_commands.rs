@@ -173,10 +173,10 @@ pub fn stream(options: &Options) -> Result<String, CliError> {
     let mut lines = vec![format!("campaign {id}: {state}")];
     if let Some(result) = done {
         for (category, rate) in result.rates() {
+            let (lo, hi) = rate.confidence95_percent();
             lines.push(format!(
-                "  {category:<14} SDC rate {:6.2}%  (±{:.2}%)",
-                rate.rate_percent(),
-                rate.confidence95_percent()
+                "  {category:<14} SDC rate {:6.2}%  [{lo:.2}, {hi:.2}]%",
+                rate.rate_percent()
             ));
         }
     }

@@ -9,8 +9,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ranger_graph::exec::{Executor, Interceptor};
-use ranger_graph::{Graph, GraphError, Node, NodeId};
+use ranger_graph::exec::{Executor, Interceptor, OpOutput};
+use ranger_graph::{Graph, GraphError, Node, NodeId, TileRows};
 use ranger_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -109,7 +109,7 @@ struct LayerStats {
 }
 
 impl Interceptor for BoundProfiler {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
+    fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
         if !node.op.is_activation() {
             return;
         }
@@ -119,7 +119,7 @@ impl Interceptor for BoundProfiler {
             seen: 0,
             sample: Vec::new(),
         });
-        for &v in output.data() {
+        for &v in output.to_f32().data() {
             // Non-finite activations (e.g. from a deliberately corrupted profiling run)
             // would produce meaningless bounds; ignore them.
             if !v.is_finite() {
@@ -235,10 +235,10 @@ pub fn profile_convergence(
         running: &'a mut HashMap<NodeId, f32>,
     }
     impl Interceptor for MaxObserver<'_> {
-        fn after_op(&mut self, node: &Node, output: &mut Tensor) {
+        fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
             if node.op.is_activation() && node.op.inherent_bounds().is_none() {
                 let m = self.running.entry(node.id).or_insert(f32::NEG_INFINITY);
-                *m = m.max(output.max());
+                *m = m.max(output.to_f32().max());
             }
         }
     }

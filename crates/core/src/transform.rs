@@ -239,12 +239,15 @@ mod tests {
 
     #[test]
     fn protected_graph_corrects_an_injected_critical_fault() {
-        use ranger_graph::{Interceptor, Node};
+        use ranger_graph::{Interceptor, Node, OpOutput, TileRows};
         struct CorruptRelu {
             node: NodeId,
         }
         impl Interceptor for CorruptRelu {
-            fn after_op(&mut self, node: &Node, output: &mut Tensor) {
+            fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
+                let OpOutput::F32(output) = output else {
+                    return;
+                };
                 if node.id == self.node {
                     // Emulate a high-order-bit flip: a huge value deviation.
                     output.data_mut()[0] = 1.0e9;

@@ -276,7 +276,7 @@ fn checkpointed_campaign(
     }
 }
 
-/// The SDC rate of one judge category, with counts and the 95% confidence half-width.
+/// The SDC rate of one judge category, with counts and the 95% confidence interval.
 #[derive(Debug, Clone, Serialize)]
 pub struct RateSummary {
     /// Category name (e.g. `top-1`, `threshold-15`).
@@ -287,8 +287,8 @@ pub struct RateSummary {
     pub trials: u64,
     /// SDC rate in percent.
     pub sdc_percent: f64,
-    /// 95% confidence half-width in percentage points (normal approximation).
-    pub ci95_percent: f64,
+    /// 95% Wilson confidence interval `(lower, upper)` in percent.
+    pub ci95_percent: (f64, f64),
 }
 
 impl RateSummary {

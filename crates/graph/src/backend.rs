@@ -29,7 +29,7 @@
 //! path.
 
 use crate::error::GraphError;
-use crate::exec::{arity_err, eval_node_into, input, Interceptor, TileRows, Values};
+use crate::exec::{arity_err, eval_node_into, input, Interceptor, OpOutput, TileRows, Values};
 use crate::graph::{Node, NodeId};
 use crate::op::{Op, RestorePolicy};
 use crate::ops::activation::softmax_layout;
@@ -47,8 +47,9 @@ use std::fmt;
 /// A backend is stateless and shared (`Send + Sync`): per-run state lives in the
 /// [`Values`] store each caller owns, so one plan can drive any number of worker threads.
 /// Implementations must uphold the arena contract — take the node's recycled buffer(s)
-/// from `values`, write the output, store it back — and must call the interceptor exactly
-/// once per injectable node, after the output is computed.
+/// from `values`, write the output, store it back — and must call
+/// [`Interceptor::after_op`] exactly once per injectable node, after the output is
+/// computed and before it is stored, with the output in the form the backend stores it.
 pub trait ExecBackend: fmt::Debug + Send + Sync {
     /// Short stable name used in reports and error messages.
     fn name(&self) -> &'static str;
@@ -74,8 +75,8 @@ pub trait ExecBackend: fmt::Debug + Send + Sync {
     /// Evaluates `node` on one row group of a tiled pass
     /// ([`ExecPlan::run_tiled_into`](crate::plan::ExecPlan::run_tiled_into)): inputs are
     /// read through the tile overlay (each carrying input holds only the group's rows),
-    /// the output tile is stored through [`Values::set_tile`], and the interceptor fires
-    /// through the tile hooks so element-addressed mutations can translate `rows`.
+    /// the output tile is stored through [`Values::set_tile`], and the interceptor sees
+    /// the tile with its window `rows` so element-addressed mutations can translate it.
     ///
     /// The default is the reference semantics — [`eval_node_into`] on the tile, exactly
     /// as [`ReferenceBackend::eval_node`] evaluates the whole batch. Backends that
@@ -95,7 +96,7 @@ pub trait ExecBackend: fmt::Debug + Send + Sync {
         let mut output = values.take_tile_recycled(node.id);
         eval_node_into(node, values, feeds, &mut output)?;
         if node.op.is_injectable() {
-            interceptor.after_op_tile(node, &mut output, rows);
+            interceptor.after_op(node, OpOutput::F32(&mut output), rows);
         }
         values.set_tile(node.id, output);
         Ok(())
@@ -123,7 +124,7 @@ impl ExecBackend for ReferenceBackend {
         let mut output = values.take_recycled(node.id);
         eval_node_into(node, values, feeds, &mut output)?;
         if node.op.is_injectable() {
-            interceptor.after_op(node, &mut output);
+            interceptor.after_op(node, OpOutput::F32(&mut output), TileRows::WHOLE);
         }
         values.set(node.id, output);
         Ok(())
@@ -230,7 +231,7 @@ impl ExecBackend for SimdBackend {
         let mut output = values.take_recycled(node.id);
         self.eval_into(node, values, feeds, &mut output)?;
         if node.op.is_injectable() {
-            interceptor.after_op(node, &mut output);
+            interceptor.after_op(node, OpOutput::F32(&mut output), TileRows::WHOLE);
         }
         values.set(node.id, output);
         Ok(())
@@ -247,7 +248,7 @@ impl ExecBackend for SimdBackend {
         let mut output = values.take_tile_recycled(node.id);
         self.eval_into(node, values, feeds, &mut output)?;
         if node.op.is_injectable() {
-            interceptor.after_op_tile(node, &mut output, rows);
+            interceptor.after_op(node, OpOutput::F32(&mut output), rows);
         }
         values.set_tile(node.id, output);
         Ok(())
@@ -637,14 +638,13 @@ impl ExecBackend for FixedBackend {
             }
         };
         if node.op.is_injectable() {
-            interceptor.after_op_words(node, &mut qout);
+            interceptor.after_op(node, OpOutput::Words(&mut qout), TileRows::WHOLE);
         }
         // Storing the words arms the *lazy* dequantized f32 mirror: `Values::get` decodes
         // a node's words at most once per pass, on first read. Campaigns only read the
         // judged output node, so elementwise-heavy passes stop paying a full decode
         // (an extra write+read of every activation) per node. The store happens after
-        // interception, so word flips and bridged generic mutations alike are always
-        // visible to the next read.
+        // interception, so every word an interceptor wrote is visible to the next read.
         values.set_q(node.id, qout);
         Ok(())
     }
@@ -662,7 +662,7 @@ impl ExecBackend for FixedBackend {
         let mut qout = values.take_tile_recycled_q(node.id, self.spec);
         self.eval_q(node, values, feeds, &mut qout)?;
         if node.op.is_injectable() {
-            interceptor.after_op_words_tile(node, &mut qout, rows);
+            interceptor.after_op(node, OpOutput::Words(&mut qout), rows);
         }
         values.set_tile_q(node.id, qout);
         Ok(())
@@ -1081,11 +1081,10 @@ mod tests {
         );
     }
 
-    /// The mixed-interceptor regression (lazy-mirror audit): in one pass, one node is
-    /// corrupted through the word-level hook and another through the generic
-    /// (`after_op`) bridge. Both mutations must be visible through `Values::get`, and
-    /// the mirror must agree with the stored words — the bridge's mutation cannot leave
-    /// a pre-mutation decode behind.
+    /// The mixed-interceptor regression (lazy-mirror audit): in one pass, one node's
+    /// words are flipped and another's are overwritten from an `f32` value. Both
+    /// mutations must be visible through `Values::get`, and the mirror must agree with
+    /// the stored words — a mutation cannot leave a pre-mutation decode behind.
     #[test]
     fn mixed_word_and_generic_interceptor_mutations_refresh_the_mirror() {
         struct Mixed {
@@ -1093,28 +1092,15 @@ mod tests {
             out: NodeId,
         }
         impl Interceptor for Mixed {
-            fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-                // Reached through the default word bridge for the ReLU node only.
-                if node.id == self.relu {
-                    output.data_mut()[0] = 19.3; // off-grid: lands on 19.25 in Q14.2
-                }
-            }
-            fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
+            fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
+                let OpOutput::Words(output) = output else {
+                    return;
+                };
                 if node.id == self.out {
                     // Word-level corruption, no f32 round trip.
                     output.flip_word(0, 3);
-                } else {
-                    // Every other node takes the generic bridge (the default impl).
-                    let mirror = output.dequantize();
-                    let mut mutated = mirror.clone();
-                    self.after_op(node, &mut mutated);
-                    for (i, (&before, &after)) in
-                        mirror.data().iter().zip(mutated.data()).enumerate()
-                    {
-                        if before.to_bits() != after.to_bits() {
-                            output.set_from_f32(i, after);
-                        }
-                    }
+                } else if node.id == self.relu {
+                    output.set_from_f32(0, 19.3); // off-grid: lands on 19.25 in Q14.2
                 }
             }
         }
@@ -1136,7 +1122,7 @@ mod tests {
                 &mut Mixed { relu, out: y },
             )
             .unwrap();
-            // The generic-bridge mutation is served by the lazy mirror...
+            // The f32-valued write is served by the lazy mirror...
             assert_eq!(values.get(relu).unwrap().data()[0], 19.25);
             // ... and both mirrors agree exactly with the stored words.
             for node in [relu, y] {
@@ -1152,30 +1138,5 @@ mod tests {
                 .unwrap();
             assert_ne!(values.get(y).unwrap(), clean.get(y).unwrap());
         }
-    }
-
-    #[test]
-    fn generic_interceptor_bridge_reencodes_only_mutated_elements() {
-        struct CorruptFirst;
-        impl Interceptor for CorruptFirst {
-            fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-                if matches!(node.op, Op::Relu) {
-                    output.data_mut()[0] = 77.3; // off-grid: quantizes to 77.25 in Q14.2
-                }
-            }
-        }
-        let (graph, y) = toy();
-        let relu = graph
-            .nodes()
-            .iter()
-            .find(|n| matches!(n.op, Op::Relu))
-            .unwrap()
-            .id;
-        let plan = graph.compile_with(BackendKind::Fixed16.backend()).unwrap();
-        let values = plan
-            .run(&[("x", Tensor::ones(vec![1, 4]))], &mut CorruptFirst)
-            .unwrap();
-        assert_eq!(values.get(relu).unwrap().data()[0], 77.25);
-        assert_eq!(values.get(y).unwrap().dims(), &[1, 2]);
     }
 }

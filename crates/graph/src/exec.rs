@@ -1,10 +1,10 @@
-//! Graph execution with per-operator interception hooks.
+//! Graph execution with a per-operator interception hook.
 //!
 //! The executor evaluates the graph in topological order. After computing each operator's
-//! output it hands the node and a mutable reference to the output tensor to the registered
-//! [`Interceptor`], which is how the fault injector corrupts a single operator output
-//! mid-inference (the TensorFI model) and how the bound profiler observes activation
-//! ranges without modifying the graph.
+//! output it hands the node, the output ([`OpOutput`]) and its row window ([`TileRows`])
+//! to the registered [`Interceptor`], which is how the fault injector corrupts a single
+//! operator output mid-inference (the TensorFI model) and how the bound profiler observes
+//! activation ranges without modifying the graph.
 //!
 //! [`Executor`] plans every forward pass from scratch; hot paths that execute the same
 //! graph repeatedly (fault-injection campaigns, batched profiling) should call
@@ -16,6 +16,7 @@ use crate::graph::{Graph, Node, NodeId};
 use crate::op::Op;
 use crate::ops;
 use ranger_tensor::{QTensor, Tensor};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
@@ -25,66 +26,69 @@ use std::sync::OnceLock;
 /// computed output. Constants and graph inputs are not intercepted, mirroring the paper's
 /// fault model in which memory is ECC-protected and faults arise in datapath computations.
 ///
-/// On the f32 reference backend the hook is [`Interceptor::after_op`]; on a fixed-point
-/// backend it is [`Interceptor::after_op_words`], which receives the operator's stored
-/// integer words. The default `after_op_words` bridges to `after_op` through a
-/// dequantize → mutate → requantize round trip (re-encoding only the elements the
-/// interceptor actually changed), so existing interceptors keep working on every backend;
-/// performance-critical implementors (the fault injector, the no-op golden-run hook)
-/// override it to act on the words directly.
+/// The one hook sees the output as the backend stores it: `f32` values on the reference
+/// and SIMD backends, raw integer words on a fixed-point backend. Read-only interceptors
+/// use [`OpOutput::to_f32`] and so work on every backend; an interceptor that mutates a
+/// fixed-point output writes the words itself.
 pub trait Interceptor {
     /// Called after `node`'s output has been computed; the output may be mutated in place.
-    fn after_op(&mut self, node: &Node, output: &mut Tensor);
-
-    /// Word-level twin of [`Interceptor::after_op`], called by fixed-point backends with
-    /// the operator's raw integer output.
     ///
-    /// The default implementation exposes the dequantized values to `after_op` and
-    /// re-encodes exactly the elements whose bits changed — untouched words survive
-    /// verbatim, so a read-only interceptor never perturbs values whose magnitude
-    /// exceeds `f32` precision.
-    fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
-        let mirror = output.dequantize();
-        let mut mutated = mirror.clone();
-        self.after_op(node, &mut mutated);
-        for (i, (&before, &after)) in mirror.data().iter().zip(mutated.data()).enumerate() {
-            if before.to_bits() != after.to_bits() {
-                output.set_from_f32(i, after);
-            }
+    /// `output` holds the batch rows `rows` of the node's output: [`TileRows::WHOLE`] on
+    /// an untiled pass, one row group under
+    /// [`ExecPlan::run_tiled_into`](crate::plan::ExecPlan::run_tiled_into). Interceptors
+    /// whose mutations are addressed in whole-batch element coordinates (the fault
+    /// injectors) translate by `rows`, so a flip lands on the same element however the
+    /// batch is tiled.
+    fn after_op(&mut self, node: &Node, output: OpOutput<'_>, rows: TileRows);
+}
+
+/// One operator output as the backend stores it.
+#[derive(Debug)]
+pub enum OpOutput<'a> {
+    /// `f32` values (reference and SIMD backends).
+    F32(&'a mut Tensor),
+    /// Raw fixed-point words (fixed-point backends).
+    Words(&'a mut QTensor),
+}
+
+impl OpOutput<'_> {
+    /// The number of elements.
+    pub fn len(&self) -> usize {
+        match self {
+            OpOutput::F32(t) => t.len(),
+            OpOutput::Words(q) => q.len(),
         }
     }
 
-    /// Row-group twin of [`Interceptor::after_op`], called by tiled execution
-    /// ([`ExecPlan::run_tiled_into`](crate::plan::ExecPlan::run_tiled_into)) with one
-    /// row group of `node`'s output and its position within the full batch. Only
-    /// groups smaller than the batch reach this hook: a pass whose row group covers
-    /// the whole batch is the untiled pass and calls `after_op`.
-    ///
-    /// The default delegates to `after_op`, treating the tile as if it were the whole
-    /// output — the behavior a recording hook usually wants (it observes every group).
-    /// Interceptors whose mutations are addressed in whole-batch element coordinates
-    /// (the fault injectors) override this to translate [`TileRows`] offsets, so a
-    /// flip lands on the same element no matter how the batch is tiled.
-    fn after_op_tile(&mut self, node: &Node, output: &mut Tensor, rows: TileRows) {
-        let _ = rows;
-        self.after_op(node, output);
+    /// Whether the output holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Word-level twin of [`Interceptor::after_op_tile`], called by tiled execution on
-    /// fixed-point backends. The default delegates to [`Interceptor::after_op_words`]
-    /// under the same whole-output convention.
-    fn after_op_words_tile(&mut self, node: &Node, output: &mut QTensor, rows: TileRows) {
-        let _ = rows;
-        self.after_op_words(node, output);
+    /// The output's dimensions.
+    pub fn dims(&self) -> &[usize] {
+        match self {
+            OpOutput::F32(t) => t.dims(),
+            OpOutput::Words(q) => q.dims(),
+        }
+    }
+
+    /// The output's values as `f32`: borrowed on an `f32` backend, dequantized from the
+    /// words on a fixed-point one.
+    pub fn to_f32(&self) -> Cow<'_, Tensor> {
+        match self {
+            OpOutput::F32(t) => Cow::Borrowed(&**t),
+            OpOutput::Words(q) => Cow::Owned(q.dequantize()),
+        }
     }
 }
 
-/// The position of one row group within a tiled pass: rows
-/// `[row_start, row_start + rows)` of a batch of `total_rows`.
+/// The position of one row group within a pass: rows `[row_start, row_start + rows)` of
+/// a batch of `total_rows`.
 ///
-/// Handed to the tile interceptor hooks so element-addressed mutations (fault plans
-/// drawn against the whole batched output) can be translated into tile-local offsets —
-/// the tiled schedule's bit-for-bit contract depends on that translation, not on any
+/// Handed to [`Interceptor::after_op`] so element-addressed mutations (fault plans drawn
+/// against the whole batched output) can be translated into tile-local offsets — the
+/// tiled schedule's bit-for-bit contract depends on that translation, not on any
 /// particular tile size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileRows {
@@ -96,28 +100,22 @@ pub struct TileRows {
     pub total_rows: usize,
 }
 
+impl TileRows {
+    /// The window of an untiled pass: one group that is the whole batch, whatever its
+    /// height (`rows == total_rows`, so element offsets translate by zero).
+    pub const WHOLE: TileRows = TileRows {
+        row_start: 0,
+        rows: 1,
+        total_rows: 1,
+    };
+}
+
 /// An interceptor that does nothing (fault-free golden runs).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopInterceptor;
 
 impl Interceptor for NoopInterceptor {
-    fn after_op(&mut self, _node: &Node, _output: &mut Tensor) {}
-
-    fn after_op_words(&mut self, _node: &Node, _output: &mut QTensor) {}
-}
-
-/// An interceptor that records every operator output, used for activation-range profiling
-/// and for debugging fault propagation.
-#[derive(Debug, Default)]
-pub struct RecordingInterceptor {
-    /// Operator outputs keyed by node id, in execution order.
-    pub outputs: Vec<(NodeId, Tensor)>,
-}
-
-impl Interceptor for RecordingInterceptor {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        self.outputs.push((node.id, output.clone()));
-    }
+    fn after_op(&mut self, _node: &Node, _output: OpOutput<'_>, _rows: TileRows) {}
 }
 
 /// One node's **lazily decoded** f32 mirror of the words a fixed-point backend stored.
@@ -642,8 +640,8 @@ impl Values {
     /// [`Values::take_recycled_q`]) and **arms the lazy f32 mirror**: any previously
     /// decoded mirror for the node is invalidated, and the node's recycled f32 buffer is
     /// parked as the seed the first [`Values::get`] will decode into. Storing words after
-    /// *any* mutation — kernel output, word-level fault injection, or the generic
-    /// interceptor bridge — therefore forces the next read to decode fresh words.
+    /// *any* mutation — kernel output or an interceptor's word write — therefore forces
+    /// the next read to decode fresh words.
     pub fn set_q(&mut self, id: NodeId, value: QTensor) {
         self.qvalues[id.index()] = Some(value);
         let seed = self.take_recycled(id);
@@ -910,6 +908,21 @@ impl<'g> Executor<'g> {
     }
 }
 
+/// Records every operator output as `f32`, for tests of interception order and values.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct RecordingInterceptor {
+    /// Operator outputs keyed by node id, in execution order.
+    pub outputs: Vec<(NodeId, Tensor)>,
+}
+
+#[cfg(test)]
+impl Interceptor for RecordingInterceptor {
+    fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
+        self.outputs.push((node.id, output.to_f32().into_owned()));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,8 +975,8 @@ mod tests {
     fn interceptor_can_corrupt_an_operator_output() {
         struct CorruptMatmul;
         impl Interceptor for CorruptMatmul {
-            fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-                if node.name == "matmul" {
+            fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
+                if let (OpOutput::F32(output), "matmul") = (output, node.name.as_str()) {
                     output.data_mut()[0] = 1.0e6;
                 }
             }
@@ -981,8 +994,8 @@ mod tests {
     fn clamp_node_restricts_corrupted_value() {
         struct CorruptMatmul;
         impl Interceptor for CorruptMatmul {
-            fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-                if node.name == "matmul" {
+            fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
+                if let (OpOutput::F32(output), "matmul") = (output, node.name.as_str()) {
                     output.data_mut()[0] = 1.0e6;
                 }
             }

@@ -8,7 +8,7 @@
 //! its `min` and `max`).
 
 use crate::error::GraphError;
-use crate::exec::{Executor, Interceptor};
+use crate::exec::{Executor, Interceptor, OpOutput, TileRows};
 use crate::graph::{Graph, Node, NodeId};
 use crate::op::Op;
 use ranger_tensor::Tensor;
@@ -82,7 +82,7 @@ fn flops_for(node: &Node, input_shapes: &[Vec<usize>], output_shape: &[usize]) -
 }
 
 impl Interceptor for ShapeRecorder {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
+    fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
         self.output_shapes.insert(node.id, output.dims().to_vec());
     }
 }

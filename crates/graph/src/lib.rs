@@ -7,7 +7,7 @@
 //!    Algorithm 1 walks the operator list and inserts range-restriction ([`Op::Clamp`])
 //!    operators after selected operations, exactly as the paper's TensorFlow implementation
 //!    duplicates the graph and remaps operator inputs.
-//! 2. **An executor with per-operator interception hooks** ([`exec::Executor`],
+//! 2. **An executor with a per-operator interception hook** ([`exec::Executor`],
 //!    [`exec::Interceptor`]) — the TensorFI-style fault injector corrupts the output of a
 //!    randomly chosen operator during a forward pass.
 //!
@@ -56,7 +56,7 @@ pub use backend::{
 };
 pub use builder::GraphBuilder;
 pub use error::GraphError;
-pub use exec::{Executor, Interceptor, TileRows};
+pub use exec::{Executor, Interceptor, OpOutput, TileRows};
 pub use graph::{Graph, Node, NodeId};
 pub use op::Op;
 pub use plan::{ExecPlan, SegmentPlan, TileStep, TiledSchedule, DEFAULT_TILE_BUDGET_BYTES};

@@ -793,8 +793,9 @@ impl<'g> ExecPlan<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendKind;
     use crate::builder::GraphBuilder;
-    use crate::exec::{Executor, RecordingInterceptor};
+    use crate::exec::{Executor, OpOutput, RecordingInterceptor};
     use crate::graph::Node;
     use crate::op::Op;
     use rand::rngs::StdRng;
@@ -857,14 +858,26 @@ mod tests {
         let ids =
             |r: &RecordingInterceptor| r.outputs.iter().map(|(id, _)| *id).collect::<Vec<_>>();
         assert_eq!(ids(&rec_plan), ids(&rec_exec));
+
+        // On a fixed-point plan the recorder reads the words through `to_f32`, which must
+        // agree with the lazy mirror the store serves after the pass.
+        let fixed = graph.compile_with(BackendKind::Fixed16.backend()).unwrap();
+        let mut rec_fixed = RecordingInterceptor::default();
+        let values = fixed
+            .run(&[("x", Tensor::ones(vec![1, 4]))], &mut rec_fixed)
+            .unwrap();
+        assert_eq!(ids(&rec_fixed), ids(&rec_exec));
+        for (id, seen) in &rec_fixed.outputs {
+            assert_eq!(values.get(*id).unwrap(), seen, "node {id:?}");
+        }
     }
 
     #[test]
     fn interceptor_corruption_propagates_under_the_plan() {
         struct Corrupt;
         impl Interceptor for Corrupt {
-            fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-                if matches!(node.op, Op::Relu) {
+            fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
+                if let (OpOutput::F32(output), Op::Relu) = (output, &node.op) {
                     output.data_mut()[0] = 77.0;
                 }
             }
@@ -1072,6 +1085,43 @@ mod tests {
             assert_eq!(values.get(probs).unwrap().dims(), &[4, 4]);
             assert_eq!(values.get(relu).unwrap().dims(), &[4, 3, 6, 6]);
         }
+
+        // The hook carries each output's row window: at 3 rows of a batch of 8, every
+        // segment node sees the three groups in order; whole-step nodes see the batch.
+        struct Windows(Vec<(NodeId, TileRows)>);
+        impl Interceptor for Windows {
+            fn after_op(&mut self, node: &Node, _output: OpOutput<'_>, rows: TileRows) {
+                self.0.push((node.id, rows));
+            }
+        }
+        let mut windows = Windows(Vec::new());
+        let batch8 = [("x", Tensor::ones(vec![8, 2, 6, 6]))];
+        plan.run_tiled_into(&mut plan.buffers(), &batch8, &mut windows, &schedule, 3)
+            .unwrap();
+        let group = |row_start, rows| TileRows {
+            row_start,
+            rows,
+            total_rows: 8,
+        };
+        for step in schedule.steps() {
+            let (nodes, expected) = match step {
+                TileStep::Whole(nodes) => (nodes, vec![TileRows::WHOLE]),
+                TileStep::Segment(seg) => (&seg.nodes, vec![group(0, 3), group(3, 3), group(6, 2)]),
+            };
+            for &id in nodes
+                .iter()
+                .filter(|id| graph.node(**id).unwrap().op.is_injectable())
+            {
+                let seen: Vec<TileRows> = windows
+                    .0
+                    .iter()
+                    .filter(|(n, _)| *n == id)
+                    .map(|(_, r)| *r)
+                    .collect();
+                assert_eq!(seen, expected, "node {id:?}");
+            }
+        }
+        assert!(windows.0.contains(&(relu, group(6, 2))));
     }
 
     #[test]

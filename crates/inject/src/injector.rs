@@ -3,7 +3,7 @@
 use crate::fault::FaultModel;
 use crate::space::{InjectionSite, InjectionSpace};
 use rand::Rng;
-use ranger_graph::{Interceptor, Node, NodeId, TileRows};
+use ranger_graph::{Interceptor, Node, NodeId, OpOutput, TileRows};
 use ranger_tensor::{DataType, QTensor, Tensor};
 
 /// One planned corruption: a site plus the bit to flip there.
@@ -86,13 +86,6 @@ impl FaultInjector {
     }
 }
 
-/// The row window of an untiled hook: the output is the whole batch.
-const WHOLE: TileRows = TileRows {
-    row_start: 0,
-    rows: 1,
-    total_rows: 1,
-};
-
 /// An operator output a planned flip can land in: `f32` values or fixed-point words.
 trait FlipTarget {
     fn len(&self) -> usize;
@@ -111,8 +104,8 @@ impl FlipTarget for Tensor {
     }
 }
 
-/// The datatype rule of `FaultInjector::after_op_words`: a matching word format flips
-/// the stored word, anything else round-trips through `f32`.
+/// The datatype rule of [`FaultInjector`] on words: a matching word format flips the
+/// stored word, anything else round-trips through `f32`.
 impl FlipTarget for QTensor {
     fn len(&self) -> usize {
         QTensor::len(self)
@@ -134,7 +127,7 @@ fn whole_len(output: &impl FlipTarget, rows: TileRows) -> usize {
     output.len() / rows.rows.max(1) * rows.total_rows
 }
 
-/// The one flip routine behind every injector hook: flips `bit` of element `global` of
+/// The one flip routine behind both injectors: flips `bit` of element `global` of
 /// a whole-batch output, of which `output` holds the row window `rows`. Returns whether
 /// the element lies inside the window (and so was flipped). Row groups partition the
 /// batch, so across the groups of one pass every in-range element is flipped exactly
@@ -155,30 +148,22 @@ fn flip_in_window(
 }
 
 impl Interceptor for FaultInjector {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        self.inject(node, output, WHOLE);
-    }
-
+    /// The plan's element coordinates address the **whole** batched output, so each flip
+    /// lands in exactly the row group that owns its element — whatever the tile size,
+    /// every planned element is flipped exactly once per pass, which is what pins tiled
+    /// and untiled passes bit-for-bit.
+    ///
     /// On a fixed-point backend whose word format matches the fault model's datatype,
     /// the planned bits flip **directly in the stored integer words** — no
     /// encode → flip → decode round trip, so the corruption is exact even for
     /// magnitudes `f32` cannot represent. A mismatched datatype (only reachable through
     /// hand-built configurations; campaigns reject the pairing up front) falls back to
     /// flipping the dequantized value under the fault's own datatype and requantizing.
-    fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
-        self.inject(node, output, WHOLE);
-    }
-
-    /// The plan's element coordinates address the **full** batched output, so each flip
-    /// lands in exactly the row group that owns its element — whatever the tile size,
-    /// every planned element is flipped exactly once per pass, which is what pins tiled
-    /// and untiled passes bit-for-bit.
-    fn after_op_tile(&mut self, node: &Node, output: &mut Tensor, rows: TileRows) {
-        self.inject(node, output, rows);
-    }
-
-    fn after_op_words_tile(&mut self, node: &Node, output: &mut QTensor, rows: TileRows) {
-        self.inject(node, output, rows);
+    fn after_op(&mut self, node: &Node, output: OpOutput<'_>, rows: TileRows) {
+        match output {
+            OpOutput::F32(tensor) => self.inject(node, tensor, rows),
+            OpOutput::Words(words) => self.inject(node, words, rows),
+        }
     }
 }
 
@@ -206,9 +191,9 @@ pub struct BatchFaultInjector<'s> {
     space: &'s InjectionSpace,
     violation: Option<String>,
     /// Every trial's planned flips as `(node index, trial, plan index)`, sorted by
-    /// node. The interceptor hooks fire once per operator — and once per (operator,
+    /// node. The interceptor hook fires once per operator — and once per (operator,
     /// row group) under tiling — so scanning every trial's whole plan inside each
-    /// hook is O(trials × nodes × row groups) per pass; with this index a hook is a
+    /// call is O(trials × nodes × row groups) per pass; with this index a call is a
     /// binary search plus exactly the flips that target its operator. Sorted by
     /// `(node, trial, plan index)`, the index visits a node's flips in the same
     /// trial-major order the scan did, so injection order — and therefore every
@@ -320,27 +305,17 @@ impl<'s> BatchFaultInjector<'s> {
 }
 
 impl Interceptor for BatchFaultInjector<'_> {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        self.inject(node, output, WHOLE);
-    }
-
-    /// Each trial's planned bits flip directly in its own row group of the stored
-    /// integer words (see [`FaultInjector::after_op_words`] for the datatype rule), with
-    /// the same batch-scaling violation check.
-    fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
-        self.inject(node, output, WHOLE);
-    }
-
-    /// Trial `t` owns elements `[t * per_trial, (t + 1) * per_trial)` of the **full**
+    /// Trial `t` owns elements `[t * per_trial, (t + 1) * per_trial)` of the **whole**
     /// batched output; a row group covers a contiguous element range of it, and a
     /// planned flip fires iff its global index falls inside the current group. No
-    /// alignment between tile boundaries and trial boundaries is required.
-    fn after_op_tile(&mut self, node: &Node, output: &mut Tensor, rows: TileRows) {
-        self.inject(node, output, rows);
-    }
-
-    fn after_op_words_tile(&mut self, node: &Node, output: &mut QTensor, rows: TileRows) {
-        self.inject(node, output, rows);
+    /// alignment between tile boundaries and trial boundaries is required. On words,
+    /// each trial's bits flip in its own rows under [`FaultInjector`]'s datatype rule,
+    /// with the same batch-scaling violation check.
+    fn after_op(&mut self, node: &Node, output: OpOutput<'_>, rows: TileRows) {
+        match output {
+            OpOutput::F32(tensor) => self.inject(node, tensor, rows),
+            OpOutput::Words(words) => self.inject(node, words, rows),
+        }
     }
 }
 

@@ -3,8 +3,8 @@
 use crate::InjectionTarget;
 use rand::Rng;
 use ranger_graph::exec::{Executor, Interceptor};
-use ranger_graph::{ExecPlan, GraphError, Node, NodeId};
-use ranger_tensor::{FixedSpec, QTensor, Tensor};
+use ranger_graph::{ExecPlan, GraphError, Node, NodeId, OpOutput, TileRows};
+use ranger_tensor::{FixedSpec, Tensor};
 
 /// One concrete place a fault can strike: an element of an operator's output tensor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,15 +37,7 @@ struct SizeRecorder<'a> {
 }
 
 impl Interceptor for SizeRecorder<'_> {
-    fn after_op(&mut self, node: &Node, output: &mut Tensor) {
-        if !self.excluded.contains(&node.id) {
-            self.sites.push((node.id, output.len()));
-        }
-    }
-
-    // On a fixed-point backend, record the word count directly — no dequantized mirror
-    // round trip is needed to size the state space.
-    fn after_op_words(&mut self, node: &Node, output: &mut QTensor) {
+    fn after_op(&mut self, node: &Node, output: OpOutput<'_>, _rows: TileRows) {
         if !self.excluded.contains(&node.id) {
             self.sites.push((node.id, output.len()));
         }

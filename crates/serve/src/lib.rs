@@ -51,7 +51,7 @@ pub use coordinator::Coordinator;
 pub use driver::{drive, DriveOutcome};
 pub use fingerprint::campaign_fingerprint;
 pub use lease::{LeaseError, LeaseGrant, LeaseTable, TouchOutcome, MAX_LEASE_MS};
-pub use protocol::{Request, Response, StatusInfo};
+pub use protocol::{Request, Response, StatusInfo, MAX_REQUEST_BYTES};
 pub use server::CampaignServer;
 pub use sink::{CampaignEvent, CampaignSink, CollectSink, NullSink, SinkFlow};
 pub use spec::{CampaignSpec, MaterializedCampaign, ModelSpec, SavedModel};

@@ -22,6 +22,12 @@ use serde::{Deserialize, Serialize};
 /// lifecycle (`Claim` / `Renew` / `Release` / `Push`).
 pub const PROTOCOL_VERSION: u32 = 2;
 
+/// The longest request line the server reads, in bytes (excluding the newline). A
+/// request is a spec, a lease call or one chunk record — a few hundred bytes — so the
+/// cap only stops a client that never ends its line from growing the server's buffer
+/// without bound; an over-long line is refused with a [`Response::Error`].
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// A client request, one JSON line per connection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {

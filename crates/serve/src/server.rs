@@ -13,14 +13,14 @@ use crate::checkpoint::ChunkRecord;
 use crate::coordinator::Coordinator;
 use crate::driver::{drive, DriveOutcome};
 use crate::lease::LeaseError;
-use crate::protocol::{Request, Response, StatusInfo};
+use crate::protocol::{Request, Response, StatusInfo, MAX_REQUEST_BYTES};
 use crate::sink::{CampaignEvent, CampaignSink, SinkFlow};
 use crate::spec::{CampaignSpec, MaterializedCampaign};
 use crate::{CheckpointStore, ServeError};
 use ranger_inject::{CampaignResult, PreparedCampaign};
 use ranger_runtime::ThreadPool;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -245,16 +245,32 @@ impl CampaignServer {
     }
 }
 
-/// Reads the connection's single request line and dispatches it.
+/// Reads the connection's single request line and dispatches it. A line longer than
+/// [`MAX_REQUEST_BYTES`] is refused and the connection closed.
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) {
     let peer = stream.peer_addr().ok();
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
+    let mut reader = match stream.try_clone() {
+        Ok(clone) => BufReader::new(clone).take(MAX_REQUEST_BYTES as u64 + 1),
         Err(_) => return,
-    });
+    };
     let mut writer = BufWriter::new(stream);
     let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    if reader.read_line(&mut line).is_err() {
+        return;
+    }
+    if line.len() > MAX_REQUEST_BYTES && !line.ends_with('\n') {
+        observe_request("oversized");
+        let _ = write_line(
+            &mut writer,
+            &Response::Error {
+                message: format!(
+                    "request from {peer:?} exceeds the {MAX_REQUEST_BYTES}-byte line limit"
+                ),
+            },
+        );
+        return;
+    }
+    if line.trim().is_empty() {
         return;
     }
     let request: Request = match serde_json::from_str(line.trim()) {

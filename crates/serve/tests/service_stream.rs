@@ -209,3 +209,44 @@ fn cancel_stops_a_campaign_and_resubmit_completes_it_with_identical_counts() {
     server_thread.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_endless_request_line_is_refused_while_other_clients_are_served() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::Duration;
+
+    let dir = tmp_dir("oversized");
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = CampaignServer::bind("127.0.0.1:0", &dir).unwrap();
+    let addr = server.local_addr().unwrap();
+    let server_thread = std::thread::spawn(move || server.run());
+    let client = Client::new(addr.to_string());
+
+    // One byte past the limit and no newline; the socket stays open.
+    let mut flood = std::net::TcpStream::connect(addr).unwrap();
+    flood
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    flood
+        .write_all(&vec![b'x'; ranger_serve::MAX_REQUEST_BYTES + 1])
+        .unwrap();
+
+    // A second connection is answered meanwhile.
+    let err = client.status("deadbeef").unwrap_err();
+    assert!(matches!(err, ServeError::Protocol(_)), "got {err:?}");
+
+    let mut reply = String::new();
+    BufReader::new(&flood)
+        .read_line(&mut reply)
+        .expect("the over-long request must be answered within 10 s");
+    assert!(reply.contains("Error"), "{reply}");
+    assert!(
+        reply.contains(&ranger_serve::MAX_REQUEST_BYTES.to_string()),
+        "the refusal names the limit: {reply}"
+    );
+    drop(flood);
+
+    client.shutdown().unwrap();
+    server_thread.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -55,10 +55,11 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     }
 }
 
-/// A proportion (e.g. an SDC rate) with its 95% confidence half-width.
+/// A proportion (e.g. an SDC rate) with its 95% confidence interval.
 ///
-/// The half-width uses the normal approximation to the binomial,
-/// `1.96 * sqrt(p * (1 - p) / n)`, which is what the paper's error bars correspond to.
+/// The interval is the Wilson score interval, which stays honest at the extremes: at
+/// 0 of `n` trials (the paper's headline case of zero SDCs) it is `[0, z² / (n + z²)]`
+/// with `z = 1.96`, where the normal approximation would collapse to `±0`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Proportion {
     /// Number of successes (e.g. SDCs observed).
@@ -87,18 +88,24 @@ impl Proportion {
         self.rate() * 100.0
     }
 
-    /// The 95% confidence half-width of the proportion (normal approximation).
-    pub fn confidence95(&self) -> f64 {
+    /// The 95% Wilson score interval `(lower, upper)` of the proportion (`(0, 0)` if
+    /// there were no trials).
+    pub fn confidence95(&self) -> (f64, f64) {
         if self.trials == 0 {
-            return 0.0;
+            return (0.0, 0.0);
         }
-        let p = self.rate();
-        1.96 * (p * (1.0 - p) / self.trials as f64).sqrt()
+        const Z: f64 = 1.96;
+        let (p, n) = (self.rate(), self.trials as f64);
+        let scale = 1.0 + Z * Z / n;
+        let center = (p + Z * Z / (2.0 * n)) / scale;
+        let half = Z * (p * (1.0 - p) / n + Z * Z / (4.0 * n * n)).sqrt() / scale;
+        ((center - half).max(0.0), (center + half).min(1.0))
     }
 
-    /// The 95% confidence half-width expressed in percentage points.
-    pub fn confidence95_percent(&self) -> f64 {
-        self.confidence95() * 100.0
+    /// The 95% Wilson score interval expressed in percent.
+    pub fn confidence95_percent(&self) -> (f64, f64) {
+        let (lower, upper) = self.confidence95();
+        (lower * 100.0, upper * 100.0)
     }
 
     /// Merges two proportions measured over disjoint trial sets.
@@ -183,10 +190,23 @@ mod tests {
         let p = Proportion::new(20, 100);
         assert!((p.rate() - 0.2).abs() < 1e-12);
         assert!((p.rate_percent() - 20.0).abs() < 1e-12);
-        let ci = p.confidence95();
-        assert!((ci - 1.96 * (0.2f64 * 0.8 / 100.0).sqrt()).abs() < 1e-12);
         assert_eq!(Proportion::new(0, 0).rate(), 0.0);
-        assert_eq!(Proportion::new(0, 0).confidence95(), 0.0);
+        // Wilson 95% intervals, computed by hand.
+        for (successes, trials, lower, upper) in [
+            (0, 100, 0.0, 0.036995),
+            (100, 100, 0.963005, 1.0),
+            (20, 100, 0.133366, 0.288831),
+            (1, 10, 0.017876, 0.404156),
+            (0, 0, 0.0, 0.0),
+        ] {
+            let (lo, hi) = Proportion::new(successes, trials).confidence95();
+            assert!(
+                (lo - lower).abs() < 1e-6 && (hi - upper).abs() < 1e-6,
+                "{successes}/{trials}: [{lo}, {hi}]"
+            );
+        }
+        let (lo, hi) = p.confidence95_percent();
+        assert!((lo - 13.3366).abs() < 1e-4 && (hi - 28.8831).abs() < 1e-4);
     }
 
     #[test]

@@ -60,12 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let orig = &campaign.baseline[0];
     let prot = &campaign.protected[0];
     println!(
-        "\nSDC rate without Ranger: {:.2}% (±{:.2}%)",
-        orig.sdc_percent, orig.ci95_percent
+        "\nSDC rate without Ranger: {:.2}% [{:.2}, {:.2}]%",
+        orig.sdc_percent, orig.ci95_percent.0, orig.ci95_percent.1
     );
     println!(
-        "SDC rate with Ranger:    {:.2}% (±{:.2}%)",
-        prot.sdc_percent, prot.ci95_percent
+        "SDC rate with Ranger:    {:.2}% [{:.2}, {:.2}]%",
+        prot.sdc_percent, prot.ci95_percent.0, prot.ci95_percent.1
     );
     if prot.sdc_percent > 0.0 {
         println!(

@@ -109,7 +109,15 @@ proptest! {
             bit: u32,
         }
         impl ranger_graph::Interceptor for Corrupt {
-            fn after_op(&mut self, node: &ranger_graph::Node, output: &mut Tensor) {
+            fn after_op(
+                &mut self,
+                node: &ranger_graph::Node,
+                output: ranger_graph::OpOutput<'_>,
+                _rows: ranger_graph::TileRows,
+            ) {
+                let ranger_graph::OpOutput::F32(output) = output else {
+                    return;
+                };
                 if node.id == self.node && self.element < output.len() {
                     let dt = DataType::fixed32();
                     output.data_mut()[self.element] = dt.flip_bit(output.data()[self.element], self.bit);
