@@ -203,9 +203,8 @@ impl SimdBackend {
             }
             Op::Softmax if node.inputs.len() == 1 => {
                 let x = input(node, values, 0)?;
-                let dims = x.dims().to_vec();
-                let (rows, last) = softmax_layout(node.id, &dims, x.len())?;
-                out.reset_fill(&dims, 0.0);
+                let (rows, last) = softmax_layout(node.id, x.dims(), x.len())?;
+                out.reset_fill(x.dims(), 0.0);
                 ranger_simd::softmax(x.data(), rows, last, out.data_mut());
                 Ok(())
             }

@@ -153,6 +153,47 @@ fn repeated_plan_passes_allocate_nothing_after_warm_up() {
          allocations over 100 passes in the quietest of 3 attempts)"
     );
 
+    // The SIMD backend on the same conv -> dense shape: the conv kernel repacks its
+    // filter into a per-thread scratch buffer that the first pass sizes, so warmed
+    // passes — conv repack, register-blocked matmul, softmax — allocate nothing.
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut b = GraphBuilder::new();
+    let x = b.input("x");
+    let c = b.conv2d(x, 1, 4, 3, 1, ranger_graph::op::Padding::Same, &mut rng);
+    let r = b.relu(c);
+    let p = b.max_pool(r, 2, 2);
+    let f = b.flatten(p);
+    let h = b.dense(f, 4 * 4 * 4, 10, &mut rng);
+    let probs = b.softmax(h);
+    let graph = b.into_graph();
+    let plan = graph
+        .compile_with(ranger_graph::BackendKind::Simd.backend())
+        .unwrap();
+    let feeds = [("x", Tensor::ones(vec![1, 1, 8, 8]))];
+    plan.warm(&feeds).unwrap();
+    let mut fewest = usize::MAX;
+    for attempt in 0..3 {
+        let mut values = plan.buffers();
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        for _ in 0..100 {
+            plan.run_into(&mut values, &feeds, &mut NoopInterceptor)
+                .unwrap();
+        }
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        fewest = fewest.min(after - before);
+        if attempt == 0 {
+            assert_eq!(values.get(probs).unwrap().dims(), &[1, 10]);
+        }
+        if fewest == 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        fewest, 0,
+        "warmed simd run_into must not allocate ({fewest} allocations over 100 passes in \
+         the quietest of 3 attempts)"
+    );
+
     // The row-group tiled scheduler on a batched feed: the first tiled pass sizes the
     // per-node tile overlays inside Values (they live outside the plan, exactly like
     // the ordinary buffers), and every warmed+primed pass after it — segment scratch,

@@ -1,13 +1,17 @@
-//! The three ported kernel bodies: blocked conv2d, matmul, three-pass softmax.
+//! The three ported kernel bodies: register-blocked conv2d and matmul, three-pass
+//! softmax.
 //!
-//! Each body mirrors its scalar reference loop-for-loop (see the [crate docs](crate) for
-//! why that makes the vectorization bit-preserving); the only freedom taken is *which
-//! independent output elements* one instruction covers. Shape validation stays in
-//! `ranger-graph` — these entry points assert the slice contracts they need for memory
-//! safety and otherwise trust the caller's geometry.
+//! Each body gives every output element its scalar reference's partial products in the
+//! reference's order (see the [crate docs](crate) for why that makes the vectorization
+//! bit-preserving); the only freedom taken is *which independent output elements* one
+//! instruction covers and how long their accumulators stay in registers. Shape
+//! validation stays in `ranger-graph` — these entry points assert the slice contracts
+//! they need for memory safety, and every index the bodies form stays inside those
+//! slices for any geometry that passes them.
 
 use crate::dispatch::{SimdOp, SimdTier};
 use crate::vec::{maxps, SimdF32};
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Validated conv2d geometry, mirroring `ranger-graph`'s `Conv2dGeometry` (NCHW
@@ -40,60 +44,168 @@ pub struct Conv2dShape {
     pub out_w: usize,
 }
 
-/// `out[j] += x[j] * w` for equal-length slices — the shared inner loop of conv2d and
-/// matmul. Separate multiply and add (never FMA), so every `out[j]` rounds exactly like
-/// the scalar `*o += x * w` it replaces.
-#[inline(always)]
-unsafe fn axpy<V: SimdF32>(out: &mut [f32], x: &[f32], w: f32) {
-    debug_assert_eq!(out.len(), x.len());
-    let n = out.len();
-    let wv = V::splat(w);
-    let mut i = 0;
-    while i + V::LANES <= n {
-        let xv = V::load(x.as_ptr().add(i));
-        let ov = V::load(out.as_ptr().add(i));
-        ov.add(xv.mul(wv)).store(out.as_mut_ptr().add(i));
-        i += V::LANES;
-    }
-    while i < n {
-        *out.get_unchecked_mut(i) += *x.get_unchecked(i) * w;
-        i += 1;
-    }
+/// Output positions one conv2d block holds accumulators for: four independent add
+/// chains cover the add latency while leaving vector registers for the filter vector and
+/// the broadcasts on every tier (AVX2 has sixteen).
+const CONV_POSITIONS: usize = 4;
+
+/// Column vectors one matmul row block holds accumulators for.
+const MATMUL_VECTORS: usize = 4;
+
+thread_local! {
+    /// The calling thread's repacked conv2d filter (see [`Conv2dOp`]), kept so
+    /// steady-state passes reuse its allocation.
+    static PACKED_FILTER: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// `out[j] += x[base + j * stride] * w` — the strided-input counterpart of [`axpy`],
-/// used by conv2d rows with `stride > 1`. Lanes gather their strided inputs into a
-/// stack buffer, then run the exact same splat-multiply-add as the contiguous path, so
-/// every `out[j]` still receives exactly one `+ x * w` with identical operands and
-/// rounding to the scalar walk it replaces.
+/// The filter taps `lo..hi` along one axis that read inside the input for output
+/// coordinate `o` — tap `t` is valid iff `0 <= o * stride + t - pad < len`, the
+/// reference's skip rule — or an empty range when the whole window lies in the padding.
 #[inline(always)]
-unsafe fn axpy_gather<V: SimdF32>(out: &mut [f32], x: &[f32], base: usize, stride: usize, w: f32) {
-    debug_assert!(V::LANES <= 16);
-    debug_assert!(out.is_empty() || base + (out.len() - 1) * stride < x.len());
-    let n = out.len();
-    let wv = V::splat(w);
-    let mut buf = [0.0f32; 16];
-    let mut i = 0;
-    while i + V::LANES <= n {
-        for (lane, slot) in buf[..V::LANES].iter_mut().enumerate() {
-            *slot = *x.get_unchecked(base + (i + lane) * stride);
+fn tap_range(o: usize, stride: usize, pad: usize, k: usize, len: usize) -> (usize, usize) {
+    let start = (o * stride) as isize - pad as isize;
+    let lo = (-start).clamp(0, k as isize);
+    let hi = (len as isize - start).clamp(lo, k as isize);
+    (lo as usize, hi as usize)
+}
+
+/// Maximal runs of consecutive output coordinates along one axis that share one
+/// [`tap_range`], as `(o_start, o_end, tap_lo, tap_hi)`.
+struct TapRuns {
+    o: usize,
+    end: usize,
+    stride: usize,
+    pad: usize,
+    k: usize,
+    len: usize,
+}
+
+impl TapRuns {
+    fn new(end: usize, stride: usize, pad: usize, k: usize, len: usize) -> Self {
+        TapRuns {
+            o: 0,
+            end,
+            stride,
+            pad,
+            k,
+            len,
         }
-        let xv = V::load(buf.as_ptr());
-        let ov = V::load(out.as_ptr().add(i));
-        ov.add(xv.mul(wv)).store(out.as_mut_ptr().add(i));
-        i += V::LANES;
-    }
-    while i < n {
-        *out.get_unchecked_mut(i) += *x.get_unchecked(base + i * stride) * w;
-        i += 1;
     }
 }
 
+impl Iterator for TapRuns {
+    type Item = (usize, usize, usize, usize);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.o >= self.end {
+            return None;
+        }
+        let start = self.o;
+        let taps = tap_range(start, self.stride, self.pad, self.k, self.len);
+        self.o += 1;
+        while self.o < self.end
+            && tap_range(self.o, self.stride, self.pad, self.k, self.len) == taps
+        {
+            self.o += 1;
+        }
+        Some((start, self.o, taps.0, taps.1))
+    }
+}
+
+/// A rectangle of output positions with columns `ox0..ox1` that all read the same
+/// non-empty tap window `ky0..ky0 + rows` × `kx0..kx0 + cols`.
+#[derive(Clone, Copy)]
+struct ConvCell {
+    ox0: usize,
+    ox1: usize,
+    ky0: usize,
+    kx0: usize,
+    rows: usize,
+    cols: usize,
+}
+
+/// Computes the `P` positions of `cell` from `at = (oy, ox)` on (row-major inside the
+/// cell) for one vector of output channels, writes the `valid` real channels of each,
+/// and returns the position after them.
+///
+/// Each accumulator starts at `+0.0` — the reference's zero-filled output — and takes
+/// one multiply and one add per tap in `(ic, ky, kx)` order, so every output element
+/// rounds through exactly the reference's steps. `x` is the image's input base, `w` the
+/// packed filter at tap `(0, ky0, kx0)` of the channel vector, `out` the output plane of
+/// the vector's first channel.
+///
+/// # Safety
+///
+/// `V`'s tier must be available, the cell must hold `P` positions from `at` on, its
+/// window must be valid for all its positions, and the pointers must address buffers of
+/// the geometry `g` (with the filter packed `ocp` channels wide).
+#[inline(always)]
+unsafe fn conv_block<V: SimdF32, const P: usize>(
+    g: &Conv2dShape,
+    ocp: usize,
+    cell: &ConvCell,
+    (mut oy, mut ox): (usize, usize),
+    x: *const f32,
+    w: *const f32,
+    (out, valid): (*mut f32, usize),
+) -> (usize, usize) {
+    let mut xs = [x; P];
+    let mut at = [0usize; P];
+    for p in 0..P {
+        at[p] = oy * g.out_w + ox;
+        // The window's first tap reads inside the input for every cell position.
+        let iy = oy * g.stride + cell.ky0 - g.pad_h;
+        let ix = ox * g.stride + cell.kx0 - g.pad_w;
+        xs[p] = x.add(iy * g.width + ix);
+        ox += 1;
+        if ox == cell.ox1 {
+            (oy, ox) = (oy + 1, cell.ox0);
+        }
+    }
+    let plane = g.height * g.width;
+    let mut acc = [V::splat(0.0); P];
+    for ic in 0..g.cin {
+        for ky in 0..cell.rows {
+            let xo = ic * plane + ky * g.width;
+            let wrow = w.add((ic * g.kh + ky) * g.kw * ocp);
+            for kx in 0..cell.cols {
+                let wv = V::load(wrow.add(kx * ocp));
+                for p in 0..P {
+                    acc[p] = acc[p].add(V::splat(*xs[p].add(xo + kx)).mul(wv));
+                }
+            }
+        }
+    }
+    let plane_out = g.out_h * g.out_w;
+    const { assert!(V::LANES <= 16, "the lane buffer holds at most 16 lanes") };
+    let mut lanes = [0.0f32; 16];
+    for p in 0..P {
+        acc[p].store(lanes.as_mut_ptr());
+        for (c, &v) in lanes[..valid].iter().enumerate() {
+            *out.add(c * plane_out + at[p]) = v;
+        }
+    }
+    (oy, ox)
+}
+
+/// 2-D convolution with vector lanes over output channels.
+///
+/// The filter is repacked `[ic][ky][kx][oc]`, zero-padded to whole vectors, into the
+/// thread's reused `packed` buffer, so one vector load fetches a tap's weights for
+/// `LANES` output channels while the tap's input value is broadcast. The output plane
+/// splits into rectangles whose positions share one in-bounds tap window (the interior,
+/// and each border band the padding clips), so padded taps are skipped exactly — never
+/// added as zero products, which would turn `0 × ±inf` into NaN and `-0.0` into `+0.0` —
+/// and every block of [`CONV_POSITIONS`] positions keeps its accumulators in registers
+/// across the whole `(ic, ky, kx)` reduction. Strided convs take the same loop: a tap
+/// reads one scalar per position whatever the stride.
 struct Conv2dOp<'a> {
     x: &'a [f32],
     w: &'a [f32],
     out: &'a mut [f32],
     shape: Conv2dShape,
+    packed: &'a mut Vec<f32>,
 }
 
 impl SimdOp for Conv2dOp<'_> {
@@ -102,64 +214,65 @@ impl SimdOp for Conv2dOp<'_> {
     #[inline(always)]
     unsafe fn eval<V: SimdF32>(&mut self) {
         let g = self.shape;
-        let (n, cin, h, win) = (g.batch, g.cin, g.height, g.width);
-        let (cout, kh, kw, stride) = (g.cout, g.kh, g.kw, g.stride);
-        let (ho, pad_h) = (g.out_h, g.pad_h);
-        let (wo, pad_w) = (g.out_w, g.pad_w);
-        // The row-group blocked nest of `conv2d_forward_into`, verbatim: per output
-        // element the partial products arrive in (ic, ky, kx) order, and the innermost
-        // `ox` walk is the independent-lane axis the vector unit covers.
-        for b in 0..n {
-            for oc in 0..cout {
-                for oy in 0..ho {
-                    let out_row = &mut self.out[((b * cout + oc) * ho + oy) * wo..][..wo];
-                    for ic in 0..cin {
-                        for ky in 0..kh {
-                            let iy = (oy * stride + ky) as isize - pad_h as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            let x_row = &self.x[((b * cin + ic) * h + iy as usize) * win..][..win];
-                            let w_row = &self.w[((oc * cin + ic) * kh + ky) * kw..][..kw];
-                            for (kx, &wv) in w_row.iter().enumerate() {
-                                // Valid output columns: 0 <= ox * stride + kx - pad_w < win
-                                // (same clamping as the reference, empty when the kernel
-                                // column lies entirely in the padding).
-                                let kx_off = kx as isize - pad_w as isize;
-                                let ox_min = if kx_off >= 0 {
-                                    0
-                                } else {
-                                    wo.min(((-kx_off) as usize).div_ceil(stride))
-                                };
-                                let ox_end = if win as isize <= kx_off {
-                                    0
-                                } else {
-                                    wo.min((win as isize - 1 - kx_off) as usize / stride + 1)
-                                };
-                                let ox_end = ox_end.max(ox_min);
-                                if stride == 1 {
-                                    // Unit stride reads a contiguous input run: vector
-                                    // lanes cover consecutive output columns.
-                                    let x_base = (ox_min as isize + kx_off) as usize;
-                                    axpy::<V>(
-                                        &mut out_row[ox_min..ox_end],
-                                        &x_row[x_base..x_base + (ox_end - ox_min)],
-                                        wv,
-                                    );
-                                } else {
-                                    // Strided input run: gather the lanes, then the
-                                    // same multiply-add as the contiguous path.
-                                    // `ox_min` guarantees `ox_min * stride + kx_off >= 0`.
-                                    let x_base = (ox_min * stride) as isize + kx_off;
-                                    axpy_gather::<V>(
-                                        &mut out_row[ox_min..ox_end],
-                                        x_row,
-                                        x_base as usize,
-                                        stride,
-                                        wv,
-                                    );
+        let taps = g.cin * g.kh * g.kw;
+        let ocp = g.cout.div_ceil(V::LANES) * V::LANES;
+        self.packed.clear();
+        self.packed.resize(taps * ocp, 0.0);
+        for (t, lanes) in self.packed.chunks_exact_mut(ocp.max(1)).enumerate() {
+            for (lane, &v) in lanes.iter_mut().zip(self.w[t..].iter().step_by(taps)) {
+                *lane = v;
+            }
+        }
+
+        // Every pointer below stays inside its slice for any geometry whose lengths
+        // `Kernels::conv2d` accepted: `tap_range` admits only taps that read inside the
+        // input, positions stay inside the output plane, and the packed filter holds
+        // `ocp` lanes per tap.
+        let plane_out = g.out_h * g.out_w;
+        for b in 0..g.batch {
+            let x = self.x.as_ptr().add(b * g.cin * g.height * g.width);
+            for ocb in (0..g.cout).step_by(V::LANES) {
+                let valid = V::LANES.min(g.cout - ocb);
+                let out = self.out.as_mut_ptr().add((b * g.cout + ocb) * plane_out);
+                let rows = TapRuns::new(g.out_h, g.stride, g.pad_h, g.kh, g.height);
+                for (oy0, oy1, ky0, ky1) in rows {
+                    let cols = TapRuns::new(g.out_w, g.stride, g.pad_w, g.kw, g.width);
+                    for (ox0, ox1, kx0, kx1) in cols {
+                        if ky0 == ky1 || kx0 == kx1 {
+                            // The whole window lies in the padding: no tap contributes
+                            // and the output keeps the reference's +0.0.
+                            for c in 0..valid {
+                                for oy in oy0..oy1 {
+                                    let row = c * plane_out + oy * g.out_w;
+                                    for ox in ox0..ox1 {
+                                        *out.add(row + ox) = 0.0;
+                                    }
                                 }
                             }
+                            continue;
+                        }
+                        let cell = ConvCell {
+                            ox0,
+                            ox1,
+                            ky0,
+                            kx0,
+                            rows: ky1 - ky0,
+                            cols: kx1 - kx0,
+                        };
+                        let w = self.packed.as_ptr().add((ky0 * g.kw + kx0) * ocp + ocb);
+                        let o = (out, valid);
+                        let mut left = (oy1 - oy0) * (ox1 - ox0);
+                        let mut at = (oy0, ox0);
+                        while left >= CONV_POSITIONS {
+                            at = conv_block::<V, CONV_POSITIONS>(&g, ocp, &cell, at, x, w, o);
+                            left -= CONV_POSITIONS;
+                        }
+                        // The cell's last `left < CONV_POSITIONS` positions.
+                        match left {
+                            3 => _ = conv_block::<V, 3>(&g, ocp, &cell, at, x, w, o),
+                            2 => _ = conv_block::<V, 2>(&g, ocp, &cell, at, x, w, o),
+                            1 => _ = conv_block::<V, 1>(&g, ocp, &cell, at, x, w, o),
+                            _ => {}
                         }
                     }
                 }
@@ -171,8 +284,7 @@ impl SimdOp for Conv2dOp<'_> {
 /// Runtime-dispatched 2-D convolution, bit-for-bit equal to
 /// `ranger_graph::ops::conv2d_forward_into`.
 ///
-/// `out` must be zero-initialized by the caller (the backend recycles and refills its
-/// arena buffer, exactly as for the reference kernel).
+/// Every element of `out` is written.
 ///
 /// # Panics
 ///
@@ -182,6 +294,66 @@ pub fn conv2d(x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) {
     kernels().conv2d(x, w, shape, out);
 }
 
+/// Accumulates `R` whole column vectors of one output row over every `p` — skipping
+/// `a == 0.0` exactly as the reference does — in registers, then stores them once.
+///
+/// # Safety
+///
+/// `V`'s tier must be available; `b` addresses column `j` of row 0 of a `k × n` matrix
+/// (`k == arow.len()`) with `j + R * LANES <= n`, and `out` has `R * LANES` writable
+/// values.
+#[inline(always)]
+unsafe fn matmul_vectors<V: SimdF32, const R: usize>(
+    arow: &[f32],
+    b: *const f32,
+    n: usize,
+    out: *mut f32,
+) {
+    let mut acc = [V::splat(0.0); R];
+    for (p, &a) in arow.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        let av = V::splat(a);
+        let brow = b.add(p * n);
+        for (r, acc) in acc.iter_mut().enumerate() {
+            *acc = acc.add(av.mul(V::load(brow.add(r * V::LANES))));
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        acc.store(out.add(r * V::LANES));
+    }
+}
+
+/// [`matmul_vectors`] for the row's last `tail < LANES` columns: masked loads and one
+/// masked store, with the accumulator held in a register across `p`.
+///
+/// # Safety
+///
+/// As for [`matmul_vectors`], with `j + tail <= n` and `tail` writable values at `out`.
+#[inline(always)]
+unsafe fn matmul_tail<V: SimdF32>(
+    arow: &[f32],
+    b: *const f32,
+    n: usize,
+    out: *mut f32,
+    tail: usize,
+) {
+    let mut acc = V::splat(0.0);
+    for (p, &a) in arow.iter().enumerate() {
+        if a == 0.0 {
+            continue;
+        }
+        acc = acc.add(V::splat(a).mul(V::load_partial(b.add(p * n), tail)));
+    }
+    acc.store_partial(out, tail);
+}
+
+/// Matrix multiplication with one output row's accumulators held in registers across
+/// the whole `p` reduction: each output element starts at `+0.0` and takes `a * b` for
+/// every `p` with `a != 0.0`, in `p` order — the `(i, p, j)` nest of
+/// `Tensor::matmul_into`, whose `a == 0.0` skip is semantic (skipped products never
+/// round, and sparse post-ReLU rows keep their exact shortcut).
 struct MatMulOp<'a> {
     a: &'a [f32],
     b: &'a [f32],
@@ -196,19 +368,24 @@ impl SimdOp for MatMulOp<'_> {
 
     #[inline(always)]
     unsafe fn eval<V: SimdF32>(&mut self) {
-        let (m, k, n) = (self.m, self.k, self.n);
-        // The (i, p, j) nest of `Tensor::matmul_into`, verbatim — including the
-        // `a == 0.0` skip, which is semantic: skipped partial products never round, and
-        // sparse rows (post-ReLU activations) keep their exact shortcut.
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.a[i * k + p];
-                if a == 0.0 {
-                    continue;
-                }
-                let row = &self.b[p * n..(p + 1) * n];
-                let out_row = &mut self.out[i * n..(i + 1) * n];
-                axpy::<V>(out_row, row, a);
+        let (k, n) = (self.k, self.n);
+        let tail = n % V::LANES;
+        let full = n - tail;
+        let b = self.b.as_ptr();
+        for i in 0..self.m {
+            let arow = &self.a[i * k..(i + 1) * k];
+            let orow = self.out.as_mut_ptr().add(i * n);
+            let mut j = 0;
+            while j + MATMUL_VECTORS * V::LANES <= full {
+                matmul_vectors::<V, MATMUL_VECTORS>(arow, b.add(j), n, orow.add(j));
+                j += MATMUL_VECTORS * V::LANES;
+            }
+            while j < full {
+                matmul_vectors::<V, 1>(arow, b.add(j), n, orow.add(j));
+                j += V::LANES;
+            }
+            if tail > 0 {
+                matmul_tail::<V>(arow, b.add(full), n, orow.add(full), tail);
             }
         }
     }
@@ -217,7 +394,7 @@ impl SimdOp for MatMulOp<'_> {
 /// Runtime-dispatched matrix multiplication (`a` is `m×k`, `b` is `k×n`), bit-for-bit
 /// equal to `Tensor::matmul_into`.
 ///
-/// `out` must be zero-initialized by the caller.
+/// Every element of `out` is written.
 ///
 /// # Panics
 ///
@@ -355,18 +532,21 @@ impl Kernels {
 macro_rules! tier_entries {
     ($name:ident, $eval:path) => {
         mod $name {
-            use super::{Conv2dOp, Conv2dShape, MatMulOp, SoftmaxOp};
+            use super::{Conv2dOp, Conv2dShape, MatMulOp, SoftmaxOp, PACKED_FILTER};
 
             pub fn conv2d(x: &[f32], w: &[f32], shape: &Conv2dShape, out: &mut [f32]) {
-                // SAFETY: this tier was verified available before being installed.
-                unsafe {
-                    $eval(&mut Conv2dOp {
-                        x,
-                        w,
-                        out,
-                        shape: *shape,
-                    })
-                }
+                PACKED_FILTER.with_borrow_mut(|packed| {
+                    // SAFETY: this tier was verified available before being installed.
+                    unsafe {
+                        $eval(&mut Conv2dOp {
+                            x,
+                            w,
+                            out,
+                            shape: *shape,
+                            packed,
+                        })
+                    }
+                })
             }
 
             pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
@@ -448,6 +628,110 @@ mod tests {
         }
         fn fill(&mut self, n: usize) -> Vec<f32> {
             (0..n).map(|_| self.next_f32()).collect()
+        }
+        /// Raw bit patterns one time in four, an exact ±0 one time in eight (the matmul
+        /// skip), ±inf one time in sixteen (so a zero product added where the reference
+        /// skips one turns into NaN), and moderate magnitudes otherwise, so long
+        /// reductions stay finite often enough to exercise real rounding.
+        fn mixed(&mut self, n: usize) -> Vec<f32> {
+            (0..n)
+                .map(|_| {
+                    let v = self.next_f32();
+                    let raw = v.to_bits();
+                    match raw % 16 {
+                        0..=3 => v,
+                        4 | 5 => f32::copysign(0.0, v),
+                        6 => f32::copysign(f32::INFINITY, v),
+                        _ => ((raw >> 8) as f32 / (1u32 << 24) as f32 - 0.5) * 16.0,
+                    }
+                })
+                .collect()
+        }
+    }
+
+    /// The literal `(b, oc, oy, ox, ic, ky, kx)` nest that defines the conv2d
+    /// reference's summation order: each output starts at `+0.0` and adds `x * w` for
+    /// every tap inside the input, in order.
+    fn naive_conv2d(x: &[f32], w: &[f32], g: &Conv2dShape) -> Vec<f32> {
+        let mut out = vec![0.0f32; g.batch * g.cout * g.out_h * g.out_w];
+        for b in 0..g.batch {
+            for oc in 0..g.cout {
+                for oy in 0..g.out_h {
+                    for ox in 0..g.out_w {
+                        let mut acc = 0.0f32;
+                        for ic in 0..g.cin {
+                            for ky in 0..g.kh {
+                                for kx in 0..g.kw {
+                                    let iy = (oy * g.stride + ky) as isize - g.pad_h as isize;
+                                    let ix = (ox * g.stride + kx) as isize - g.pad_w as isize;
+                                    if iy < 0
+                                        || ix < 0
+                                        || iy >= g.height as isize
+                                        || ix >= g.width as isize
+                                    {
+                                        continue;
+                                    }
+                                    let xv = x[((b * g.cin + ic) * g.height + iy as usize)
+                                        * g.width
+                                        + ix as usize];
+                                    acc += xv * w[((oc * g.cin + ic) * g.kh + ky) * g.kw + kx];
+                                }
+                            }
+                        }
+                        out[((b * g.cout + oc) * g.out_h + oy) * g.out_w + ox] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The literal `(i, j, p)` nest of the matmul reference, `a == 0.0` skip included.
+    fn naive_matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    let av = a[i * k + p];
+                    if av == 0.0 {
+                        continue;
+                    }
+                    acc += av * b[p * n + j];
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    /// A square-kernel conv geometry: `Same` padding (output `ceil(n / stride)`, the
+    /// smaller half of the padding leading) when `same`, `Valid` otherwise.
+    fn conv_shape(
+        (batch, cin, height, width): (usize, usize, usize, usize),
+        (cout, k, stride): (usize, usize, usize),
+        same: bool,
+    ) -> Conv2dShape {
+        let (out_h, out_w, pad_h, pad_w) = if same {
+            let (oh, ow) = (height.div_ceil(stride), width.div_ceil(stride));
+            let pad = |o: usize, n: usize| ((o - 1) * stride + k).saturating_sub(n) / 2;
+            (oh, ow, pad(oh, height), pad(ow, width))
+        } else {
+            ((height - k) / stride + 1, (width - k) / stride + 1, 0, 0)
+        };
+        Conv2dShape {
+            batch,
+            cin,
+            height,
+            width,
+            cout,
+            kh: k,
+            kw: k,
+            stride,
+            pad_h,
+            pad_w,
+            out_h,
+            out_w,
         }
     }
 
@@ -577,6 +861,7 @@ mod tests {
                     w: &w,
                     out: &mut scalar_out,
                     shape: g,
+                    packed: &mut Vec::new(),
                 }
                 .eval::<ScalarVec>()
             };
@@ -586,6 +871,55 @@ mod tests {
                 "conv2d diverged from scalar on tier {} for {g:?}",
                 active_tier()
             );
+        }
+    }
+
+    #[test]
+    fn conv2d_matches_the_naive_nest_bit_for_bit() {
+        let mut rng = Bits(11);
+        for (input, filter, same) in [
+            // LeNet's two convs, then channel counts around one and two vectors of 8
+            // and 16 lanes, strided and 1x1 convs, and a kernel wider than the input.
+            ((1, 1, 14, 14), (6, 5, 1), true),
+            ((2, 6, 7, 7), (16, 5, 1), false),
+            ((1, 3, 9, 11), (17, 3, 1), true),
+            ((2, 2, 8, 8), (33, 3, 2), true),
+            ((1, 4, 10, 9), (9, 5, 2), false),
+            ((1, 5, 6, 6), (7, 1, 2), false),
+            ((1, 3, 5, 5), (15, 1, 1), false),
+            ((3, 2, 11, 13), (8, 3, 3), true),
+            ((1, 1, 2, 3), (2, 7, 2), true),
+        ] {
+            let g = conv_shape(input, filter, same);
+            let x = rng.mixed(g.batch * g.cin * g.height * g.width);
+            let w = rng.mixed(g.cout * g.cin * g.kh * g.kw);
+            let mut out = vec![f32::NAN; g.batch * g.cout * g.out_h * g.out_w];
+            conv2d(&x, &w, &g, &mut out);
+            assert_eq!(
+                bits(&out),
+                bits(&naive_conv2d(&x, &w, &g)),
+                "conv2d diverged from the naive nest on tier {} for {g:?}",
+                active_tier()
+            );
+        }
+    }
+
+    #[test]
+    fn matmul_matches_the_naive_nest_bit_for_bit() {
+        let mut rng = Bits(13);
+        for n in [1, 8, 10, 16, 17, 33, 64] {
+            for (m, k) in [(1, 1), (3, 7), (4, 16)] {
+                let a = rng.mixed(m * k);
+                let b = rng.mixed(k * n);
+                let mut out = vec![f32::NAN; m * n];
+                matmul(&a, &b, m, k, n, &mut out);
+                assert_eq!(
+                    bits(&out),
+                    bits(&naive_matmul(&a, &b, m, k, n)),
+                    "matmul diverged from the naive nest on tier {} for ({m},{k},{n})",
+                    active_tier()
+                );
+            }
         }
     }
 

@@ -15,16 +15,27 @@
 //! vectorizing the reduction dimension (which re-associates the `f32` sum) and rules out
 //! FMA (which fuses the multiply's rounding step away). Instead every kernel here
 //! vectorizes across **independent output lanes** — vector element `j` accumulates
-//! output element `j` and nothing else, with a separate multiply and add per partial
-//! product — so each output element sees *exactly* the partial products of the scalar
-//! kernel, in the same order, with the same two rounding steps each:
+//! output element `j` and nothing else, starting from `+0.0` (the reference's
+//! zero-filled output) with a separate multiply and add per partial product — so each
+//! output element sees *exactly* the partial products of the scalar kernel, in the same
+//! order, with the same two rounding steps each. Which outputs share a vector, and how
+//! many vectors stay in registers at once, is free; the per-element order is not:
 //!
-//! * **conv2d** keeps the row-group blocked nest of `conv2d_forward_into`: the vector
-//!   unit walks the output row (`ox`), and per output element the partial products still
-//!   arrive in `(ic, ky, kx)` order.
-//! * **matmul** keeps the `(i, p, j)` nest of `Tensor::matmul_into` — including its
-//!   `a == 0.0` row-skip, which is a *semantic* property (skipped products never round) —
-//!   and vectorizes the `j` (output column) loop.
+//! * **conv2d** puts **output channels** in the lanes: the filter is repacked
+//!   `[ic][ky][kx][oc]`, so one vector load fetches a tap's weights for `LANES` channels
+//!   while the tap's input value is broadcast, and a block of output positions keeps its
+//!   accumulators in registers across the whole `(ic, ky, kx)` reduction. Channels of
+//!   one position read the same taps, so lanes never disagree about which taps are
+//!   valid: the output plane splits into rectangles that share one in-bounds tap window,
+//!   and padded taps are **skipped** exactly as the reference skips them. (Adding them
+//!   as zero products would not be exact: `0 × ±inf` is NaN, and `-0.0 + +0.0` is
+//!   `+0.0`.) Each output element therefore takes its partial products in the
+//!   reference's `(ic, ky, kx)` order, whatever the stride.
+//! * **matmul** holds one output row's accumulators in registers across the whole `p`
+//!   reduction (masked loads and one masked store cover a row tail narrower than a
+//!   vector) and keeps `Tensor::matmul_into`'s `a == 0.0` skip, which is a *semantic*
+//!   property (skipped products never round): each output element takes `a * b` in `p`
+//!   order, exactly as in the reference's `(i, p, j)` nest.
 //! * **softmax** is three passes: a vectorized max pass (reduction over `max`, which is
 //!   associative up to the sign of zero — and the sign of the row max provably cannot
 //!   change a softmax output, since `x - (+0.0)` and `x - (-0.0)` differ only at

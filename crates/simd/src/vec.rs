@@ -11,6 +11,10 @@
 //! * [`add`](SimdF32::add), [`mul`](SimdF32::mul), [`div`](SimdF32::div) are lanewise
 //!   IEEE-754 operations — identical rounding to the scalar `+`, `*`, `/` they replace,
 //!   which is what makes output-lane vectorization bit-preserving.
+//! * [`load_partial`](SimdF32::load_partial) / [`store_partial`](SimdF32::store_partial)
+//!   move only the first `n` lanes (masked instructions on AVX2 and AVX-512), so a row
+//!   tail narrower than a vector stays in a register instead of falling back to scalar
+//!   code.
 //! * [`max`](SimdF32::max) has **`MAXPS` semantics**: `if self > other { self } else
 //!   { other }` per lane. The result is `other` when `self` is NaN (so folding new
 //!   elements in as `self` ignores NaN exactly like `f32::max` does) and `other` on
@@ -50,6 +54,37 @@ pub trait SimdF32: Copy {
     ///
     /// The tier must be available and `ptr..ptr + LANES` must be writable.
     unsafe fn store(self, ptr: *mut f32);
+
+    /// Loads the first `n` of `LANES` consecutive values; the remaining lanes hold
+    /// unspecified values. Only `ptr..ptr + n` is read, so a row tail narrower than a
+    /// vector never touches memory past its end.
+    ///
+    /// # Safety
+    ///
+    /// The tier must be available, `n < LANES`, and `ptr..ptr + n` must be readable.
+    #[inline(always)]
+    unsafe fn load_partial(ptr: *const f32, n: usize) -> Self {
+        const { assert!(Self::LANES <= 16, "the lane buffer holds at most 16 lanes") };
+        debug_assert!(n < Self::LANES);
+        let mut buf = [0.0f32; 16];
+        std::ptr::copy_nonoverlapping(ptr, buf.as_mut_ptr(), n);
+        Self::load(buf.as_ptr())
+    }
+
+    /// Stores the first `n` lanes to `ptr..ptr + n`, leaving the memory past them
+    /// untouched.
+    ///
+    /// # Safety
+    ///
+    /// The tier must be available, `n < LANES`, and `ptr..ptr + n` must be writable.
+    #[inline(always)]
+    unsafe fn store_partial(self, ptr: *mut f32, n: usize) {
+        const { assert!(Self::LANES <= 16, "the lane buffer holds at most 16 lanes") };
+        debug_assert!(n < Self::LANES);
+        let mut buf = [0.0f32; 16];
+        self.store(buf.as_mut_ptr());
+        std::ptr::copy_nonoverlapping(buf.as_ptr(), ptr, n);
+    }
 
     /// Lanewise IEEE-754 addition.
     ///
@@ -183,6 +218,18 @@ pub(crate) mod x86 {
         }
 
         #[inline(always)]
+        unsafe fn load_partial(ptr: *const f32, n: usize) -> Self {
+            // VMASKMOVPS reads only the lanes whose mask sign bit is set (no fault past
+            // the row end) and zeroes the rest.
+            Avx2Vec(_mm256_maskload_ps(ptr, avx2_mask(n)))
+        }
+
+        #[inline(always)]
+        unsafe fn store_partial(self, ptr: *mut f32, n: usize) {
+            _mm256_maskstore_ps(ptr, avx2_mask(n), self.0)
+        }
+
+        #[inline(always)]
         unsafe fn add(self, other: Self) -> Self {
             Avx2Vec(_mm256_add_ps(self.0, other.0))
         }
@@ -214,9 +261,28 @@ pub(crate) mod x86 {
         }
     }
 
+    /// Lane mask for the first `n` of 8 lanes: all-ones words below `n`, zero above.
+    ///
+    /// # Safety
+    ///
+    /// AVX2 must be available.
+    #[inline(always)]
+    unsafe fn avx2_mask(n: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(n as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
     /// The AVX-512 tier: 16 lanes (`avx512f` only — no other extension is used).
     #[derive(Clone, Copy)]
     pub(crate) struct Avx512Vec(__m512);
+
+    /// Lane mask for the first `n` of 16 lanes.
+    #[inline(always)]
+    fn avx512_mask(n: usize) -> __mmask16 {
+        ((1u32 << n) - 1) as __mmask16
+    }
 
     impl SimdF32 for Avx512Vec {
         const LANES: usize = 16;
@@ -234,6 +300,17 @@ pub(crate) mod x86 {
         #[inline(always)]
         unsafe fn store(self, ptr: *mut f32) {
             _mm512_storeu_ps(ptr, self.0)
+        }
+
+        #[inline(always)]
+        unsafe fn load_partial(ptr: *const f32, n: usize) -> Self {
+            // Masked-off lanes are neither read (no fault past the row end) nor kept.
+            Avx512Vec(_mm512_maskz_loadu_ps(avx512_mask(n), ptr))
+        }
+
+        #[inline(always)]
+        unsafe fn store_partial(self, ptr: *mut f32, n: usize) {
+            _mm512_mask_storeu_ps(ptr, avx512_mask(n), self.0)
         }
 
         #[inline(always)]

@@ -15,10 +15,14 @@
 //!
 //! | operator            | tolerance                     | why                          |
 //! |---------------------|-------------------------------|------------------------------|
-//! | conv2d              | bit-exact (NaN as a class)    | lanes walk `ox`; `(ic,ky,kx)`|
-//! |                     |                               | order per output preserved   |
-//! | matmul              | bit-exact (NaN as a class)    | `(i,p,j)` nest + `a == 0.0`  |
-//! |                     |                               | skip preserved; lanes walk `j`|
+//! | conv2d              | bit-exact (NaN as a class)    | lanes hold output channels,  |
+//! |                     |                               | which share their valid taps:|
+//! |                     |                               | padded taps skipped, each    |
+//! |                     |                               | output's `(ic,ky,kx)` order  |
+//! |                     |                               | preserved                    |
+//! | matmul              | bit-exact (NaN as a class)    | row accumulators take `a * b`|
+//! |                     |                               | in `p` order, `a == 0.0` skip|
+//! |                     |                               | preserved                    |
 //! | softmax             | bit-exact (NaN as a class)    | scalar `exp` pass verbatim;  |
 //! |                     |                               | max/divide passes exact      |
 //! | everything else     | bit-exact (NaN as a class)    | delegated to the reference   |
@@ -32,8 +36,9 @@
 //! Failures print the operator, the sampled shape and the operand seed, so a failing
 //! case replays as a deterministic unit test.
 //!
-//! CI runs this suite twice: once on the widest tier the host offers, and once under
-//! `RANGER_SIMD_FORCE=scalar` to keep the fallback honest.
+//! CI runs this suite three times: on the widest tier the host offers, under
+//! `RANGER_SIMD_FORCE=scalar` to keep the fallback honest, and under
+//! `RANGER_SIMD_FORCE=avx2` so the 8-lane bodies and their tails run on AVX-512 hosts.
 
 use proptest::prelude::*;
 use ranger_graph::exec::NoopInterceptor;
@@ -278,12 +283,11 @@ proptest! {
     }
 }
 
-/// The gathered strided-conv path, pinned deterministically at widths that push the
-/// vectorized output row past the widest lane count the dispatcher can pick (16 on
-/// AVX-512) *and* leave a scalar tail: every stride the gather kernel serves (2, 3, 4)
-/// stays bit-exact on full-range operands, with both `Same` padding (negative `kx_off`,
-/// clamped `ox` ranges) and `Valid` padding (dense runs). The proptest above samples
-/// this geometry; this test guarantees the deep-vector-body cases run on every CI box.
+/// Strided convs, pinned deterministically on wide rows (output rows of 13 to 39
+/// columns): strides 2, 3 and 4 stay bit-exact on full-range operands, with both `Same`
+/// padding (clipped windows along both borders) and `Valid` padding (every window
+/// inside the input). The proptest above samples this geometry; this test guarantees
+/// the wide strided cases run on every CI box.
 #[test]
 fn simd_strided_conv_gather_path_is_bit_exact_across_lane_widths() {
     for stride in [2usize, 3, 4] {
@@ -301,6 +305,49 @@ fn simd_strided_conv_gather_path_is_bit_exact_across_lane_widths() {
             let conv = g.add_node("conv", Op::Conv2d { stride, padding }, vec![x, w]);
             let feeds = [("x", gen.tensor(vec![2, 2, 9, width]))];
             assert_backends_match(&g, &feeds, &[conv], Tolerance::Bits, &context);
+        }
+    }
+}
+
+/// Every conv geometry of the eight zoo models, at channel counts around one and two
+/// vectors of every tier's lane width (8 and 16), at batch 1 and 3 on full-range
+/// operands. The proptest above samples `cout < 5` and kernels below 4, so it never
+/// fills a 16-lane channel vector and never runs LeNet's 5×5 kernels; this grid does.
+#[test]
+fn simd_conv2d_zoo_geometries_are_bit_exact() {
+    // (where, cin, height, width, kernel, stride, padding)
+    let geometries = [
+        ("lenet conv1", 1, 14, 14, 5, 1, Padding::Same),
+        ("lenet conv2", 6, 7, 7, 5, 1, Padding::Valid),
+        ("alexnet conv1", 3, 16, 16, 3, 1, Padding::Same),
+        ("alexnet conv5", 32, 2, 2, 3, 1, Padding::Same),
+        ("vgg16 block1", 3, 32, 32, 3, 1, Padding::Same),
+        ("vgg11 block5", 32, 1, 1, 3, 1, Padding::Same),
+        ("comma/dave conv1", 3, 16, 32, 3, 2, Padding::Same),
+        ("dave conv3", 12, 4, 8, 3, 2, Padding::Same),
+        ("dave conv4", 16, 2, 4, 3, 1, Padding::Same),
+        ("squeezenet stem", 3, 32, 32, 3, 2, Padding::Same),
+        ("squeezenet squeeze", 16, 8, 8, 1, 1, Padding::Same),
+        ("squeezenet expand3", 6, 4, 4, 3, 1, Padding::Same),
+        ("squeezenet final", 24, 2, 2, 1, 1, Padding::Same),
+        ("resnet shortcut", 8, 32, 32, 1, 2, Padding::Same),
+        ("resnet downsample", 16, 16, 16, 3, 2, Padding::Same),
+    ];
+    for (where_, cin, height, width, kernel, stride, padding) in geometries {
+        for cout in [1usize, 7, 8, 9, 15, 16, 17, 33] {
+            for batch in [1usize, 3] {
+                let context = format!(
+                    "{where_}: [{batch},{cin},{height},{width}] * [{cout},{cin},{kernel},{kernel}] \
+                     stride {stride} {padding:?}"
+                );
+                let mut gen = FullRangeF32::new((cout * 31 + batch) as u64 ^ (cin as u64) << 16);
+                let mut g = Graph::new();
+                let x = g.add_input("x");
+                let w = g.add_const("w", gen.tensor(vec![cout, cin, kernel, kernel]), true);
+                let conv = g.add_node("conv", Op::Conv2d { stride, padding }, vec![x, w]);
+                let feeds = [("x", gen.tensor(vec![batch, cin, height, width]))];
+                assert_backends_match(&g, &feeds, &[conv], Tolerance::Bits, &context);
+            }
         }
     }
 }
